@@ -114,12 +114,17 @@ def test_branch_records(benchmark, instructions):
 
 @pytest.mark.parametrize("instructions", TRACE_LENGTHS)
 def test_simulate_frontend(benchmark, instructions):
-    """Branch predictor + BTB + I-cache over one trace."""
+    """Branch predictor + BTB + I-cache over one trace.
+
+    The trace's component-result table is emptied every round, so each
+    round runs the three kernels instead of timing table hits.
+    """
     workload = _workload()
     trace = workload.trace(instructions)
     trace.branch_columns()  # steady-state: columns already gathered
 
     def frontend():
+        trace._component_results.clear()
         return simulate_frontend(trace, BASELINE_FRONTEND)
 
     result = benchmark(frontend)
@@ -134,15 +139,17 @@ def test_section_v_stack(benchmark, instructions):
     Measures one workload's front-end profile (both core flavours, all
     sections, through the batched ``simulate_frontend_many`` engine)
     plus the CMP runs and energy evaluation for the four Figure 10
-    chips.  The trace is pre-warmed in the shared cache and the profile
-    cache is cleared each round, so the number reflects the simulation
-    engine rather than trace generation or memoization.
+    chips.  The trace is pre-warmed in the shared cache; the profile
+    cache and the trace's component-result table are cleared each
+    round, so the number reflects the simulation engine rather than
+    trace generation or memoization.
     """
     workload = _workload()
-    workload_trace(workload.spec, instructions)  # warm the shared trace cache
+    trace = workload_trace(workload.spec, instructions)  # warm the trace cache
 
     def stack():
         clear_profile_cache()
+        trace._component_results.clear()
         profile = profile_workload_frontend(workload, instructions)
         return [
             evaluate_cmp_energy(run_on_cmp(profile, cmp))
@@ -188,9 +195,10 @@ def test_explore_grid(benchmark):
     ``simulate_frontend_many`` engine through ``Session.explore`` and
     times one full exploration of it -- chunked evaluation, grid-frame
     assembly, Pareto frontier, sensitivity tables -- with the result
-    store disabled so every round re-simulates.  The trace is
-    pre-warmed, so ``points / (min_ms / 1e3)`` is the configs/sec
-    number tracked in BENCH_hotpath.json.
+    store disabled and the trace's component-result table emptied, so
+    every round re-simulates.  The trace is pre-warmed, so
+    ``points / (min_ms / 1e3)`` is the configs/sec number tracked in
+    BENCH_hotpath.json.
     """
     grid = frontend_grid()
     points = len(grid.points())
@@ -198,9 +206,12 @@ def test_explore_grid(benchmark):
         instructions=60_000, trace_cache_dir=None, result_cache_dir=None
     )
     plan = session.explore(grid, workloads=[WORKLOAD], use_store=False)
-    plan.result()  # warm the shared trace cache and decoded streams
+    plan.result()  # warm the shared trace cache
+    trace = session.trace(WORKLOAD)
+    assert trace._component_results  # the trace the exploration ran on
 
     def explore():
+        trace._component_results.clear()
         return plan.result()
 
     result = benchmark(explore)

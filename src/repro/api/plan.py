@@ -165,10 +165,11 @@ class FrontendSweepPlan(Plan):
     """workloads x front-end configurations x sections -> metrics.
 
     Compiles to one batched :func:`simulate_frontend_many` call per
-    workload (each section's branch/line streams decoded once for all
-    configurations), fanned out through the session's pool when its
-    config says so.  The resulting frame has one row per (workload,
-    section, configuration) with the requested metric columns.
+    workload (each distinct geometry simulated once per trace section,
+    through the trace's component-result table), fanned out through the
+    session's pool when its config says so.  The resulting frame has
+    one row per (workload, section, configuration) with the requested
+    metric columns.
     """
 
     session: "Session"

@@ -491,6 +491,7 @@ def _report_experiment(outcome, before: Dict[str, Dict[str, int]]) -> None:
         }
     traces = deltas.get("traces", {})
     profiles = deltas.get("profiles", {})
+    components = deltas.get("components", {})
     results = deltas.get("results", {})
     trace_dir = resolved_cache_dir()
     result_dir = resolved_result_dir()
@@ -507,7 +508,9 @@ def _report_experiment(outcome, before: Dict[str, Dict[str, int]]) -> None:
             else ""
         )
         + f"; profiles: {profiles.get('hits', 0)} hits, "
-        f"{profiles.get('misses', 0)} misses",
+        f"{profiles.get('misses', 0)} misses"
+        f"; components: {components.get('hits', 0)} hits, "
+        f"{components.get('misses', 0)} misses",
         file=sys.stderr,
     )
     # Execution-layer activity (sweep journal, queue leases, CAS):

@@ -18,9 +18,9 @@ from repro.experiments.common import (
     render_blocks,
     suite_cell,
 )
-from repro.frontend.predictors import make_predictor
+from repro.frontend.configs import BranchPredictorConfig
 from repro.frontend.predictors.factory import predictor_configurations
-from repro.frontend.simulation import simulate_branch_predictors
+from repro.frontend.simulation import simulate_components
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
@@ -34,22 +34,19 @@ FIGURE5_LABELS = tuple(label for label, _, _, _ in predictor_configurations())
 def _workload_mpki(args) -> Dict[str, float]:
     """Per-workload worker: all predictor configurations on one trace.
 
-    The nine predictors run through the batched
-    :func:`simulate_branch_predictors`, which decodes the conditional
-    stream once and reuses it for every configuration.
+    The nine predictor configurations run through
+    :func:`simulate_components`, which decodes the conditional stream
+    once and serves any configuration already simulated on this trace
+    section from the trace's component-result table.
     """
     spec, instructions, section = args
     trace = workload_trace(spec, instructions)
-    configurations = predictor_configurations()
-    predictors = [
-        make_predictor(kind, budget, with_loop)
-        for _, kind, budget, with_loop in configurations
-    ]
-    results = simulate_branch_predictors(trace, predictors, section)
-    return {
-        label: result.mpki
-        for (label, _, _, _), result in zip(configurations, results)
+    configs = {
+        label: BranchPredictorConfig(kind, budget, with_loop)
+        for label, kind, budget, with_loop in predictor_configurations()
     }
+    results = simulate_components(trace, configs.values(), section)
+    return {label: results[config].mpki for label, config in configs.items()}
 
 
 @dataclass

@@ -19,8 +19,8 @@ from repro.experiments.common import (
     fixed,
     render_blocks,
 )
-from repro.frontend.predictors import make_predictor
-from repro.frontend.simulation import simulate_branch_predictors
+from repro.frontend.configs import BranchPredictorConfig
+from repro.frontend.simulation import simulate_components
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.trace_cache import workload_trace
@@ -88,14 +88,13 @@ def _workload_breakdown(args) -> Dict[str, Dict[str, float]]:
     """Per-workload worker: MPKI breakdown of every Figure 6 config."""
     spec, instructions = args
     trace = workload_trace(spec, instructions)
-    predictors = [
-        make_predictor(kind, budget, with_loop)
-        for _, kind, budget, with_loop in FIGURE6_CONFIGS
-    ]
-    outcomes = simulate_branch_predictors(trace, predictors)
+    configs = {
+        label: BranchPredictorConfig(kind, budget, with_loop)
+        for label, kind, budget, with_loop in FIGURE6_CONFIGS
+    }
+    outcomes = simulate_components(trace, configs.values())
     return {
-        label: outcome.breakdown_mpki()
-        for (label, _, _, _), outcome in zip(FIGURE6_CONFIGS, outcomes)
+        label: outcomes[config].breakdown_mpki() for label, config in configs.items()
     }
 
 

@@ -18,7 +18,8 @@ from repro.experiments.common import (
     render_blocks,
     suite_cell,
 )
-from repro.frontend.simulation import simulate_btb
+from repro.frontend.configs import BTBConfig
+from repro.frontend.simulation import simulate_components
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.suites import Suite
@@ -29,12 +30,10 @@ def _workload_mpki(args) -> Dict[Tuple[int, int], float]:
     """Per-workload worker: every BTB geometry on one trace."""
     spec, instructions, geometries = args
     trace = workload_trace(spec, instructions)
-    return {
-        (entries, associativity): simulate_btb(
-            trace, entries=entries, associativity=associativity
-        ).mpki
-        for entries, associativity in geometries
-    }
+    configs = {geometry: BTBConfig(*geometry) for geometry in geometries}
+    results = simulate_components(trace, configs.values())
+    return {geometry: results[config].mpki for geometry, config in configs.items()}
+
 
 #: The nine BTB geometries of Figure 7.
 BTB_GEOMETRIES: Tuple[Tuple[int, int], ...] = tuple(

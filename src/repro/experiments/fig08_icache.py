@@ -18,7 +18,8 @@ from repro.experiments.common import (
     render_blocks,
     suite_cell,
 )
-from repro.frontend.simulation import simulate_icache
+from repro.frontend.configs import ICacheConfig
+from repro.frontend.simulation import simulate_components
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.suites import Suite
@@ -29,15 +30,15 @@ def _workload_mpki(args) -> Dict[Tuple[int, int], float]:
     """Per-workload worker: every I-cache geometry on one trace."""
     spec, instructions, geometries = args
     trace = workload_trace(spec, instructions)
-    return {
-        (size_kb, associativity): simulate_icache(
-            trace,
-            size_bytes=size_kb * 1024,
-            line_bytes=LINE_BYTES,
-            associativity=associativity,
-        ).mpki
+    configs = {
+        (size_kb, associativity): ICacheConfig(
+            size_kb * 1024, LINE_BYTES, associativity
+        )
         for size_kb, associativity in geometries
     }
+    results = simulate_components(trace, configs.values())
+    return {geometry: results[config].mpki for geometry, config in configs.items()}
+
 
 #: The nine I-cache geometries of Figure 8: size (KB) x associativity,
 #: with the paper's fixed 64-byte lines.

@@ -17,7 +17,8 @@ from repro.experiments.common import (
     percent,
     render_blocks,
 )
-from repro.frontend.simulation import simulate_icache
+from repro.frontend.configs import ICacheConfig
+from repro.frontend.simulation import simulate_components
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.trace_cache import workload_trace
@@ -85,15 +86,14 @@ def _workload_lines(args) -> Tuple[Dict[Tuple[int, int], float], float]:
     """Per-workload worker: every line geometry plus 128B usefulness."""
     spec, instructions, geometries = args
     trace = workload_trace(spec, instructions)
-    mpki = {
-        (line_bytes, associativity): simulate_icache(
-            trace,
-            size_bytes=CACHE_SIZE_BYTES,
-            line_bytes=line_bytes,
-            associativity=associativity,
-        ).mpki
+    configs = {
+        (line_bytes, associativity): ICacheConfig(
+            CACHE_SIZE_BYTES, line_bytes, associativity
+        )
         for line_bytes, associativity in geometries
     }
+    results = simulate_components(trace, configs.values())
+    mpki = {geometry: results[config].mpki for geometry, config in configs.items()}
     usefulness = analyze_line_usefulness(trace, line_bytes=128).average_usefulness
     return mpki, usefulness
 

@@ -22,11 +22,14 @@ chunk) pair is one unit of work:
   under a plan-scoped checkpoint journal, so they inherit the
   supervised executors (``--parallel`` pools, the durable ``queue``
   executor for fleet-scale grids) and mid-sweep kill/resume.
-* Inside a chunk every front-end configuration shares one decoded
-  trace via the batched
-  :func:`repro.frontend.simulation.simulate_frontend_many` engine
-  (respectively one cached workload profile for CMP grids), which is
-  what makes thousands of configs per workload cheap.
+* Every front-end chunk runs through the batched
+  :func:`repro.frontend.simulation.simulate_frontend_many` engine,
+  whose component-result table lives on the cached trace: each
+  predictor, BTB and I-cache geometry is simulated once per (trace,
+  section) in the process, however many chunks repeat it, and a chunk
+  of already-seen geometries is pure lookups (CMP grids share one
+  cached workload profile instead).  That is what makes thousands of
+  configs per workload cheap.
 
 Static per-point columns (area, power) are pure arithmetic and are
 recomputed at assembly time rather than stored.

@@ -43,6 +43,7 @@ from repro.frontend.simulation import (
     FrontEndResult,
     simulate_branch_predictor,
     simulate_btb,
+    simulate_components,
     simulate_icache,
 )
 
@@ -69,5 +70,6 @@ __all__ = [
     "FrontEndResult",
     "simulate_branch_predictor",
     "simulate_btb",
+    "simulate_components",
     "simulate_icache",
 ]

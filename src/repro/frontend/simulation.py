@@ -4,26 +4,39 @@ These functions are the microarchitecture-dependent pintools of
 Section IV: each one walks the dynamic trace and reports misses per
 kilo-instruction (MPKI) for a branch predictor, a BTB, or an I-cache,
 optionally restricted to the serial or parallel code section.
+
+Every config-driven call goes through one *component-result table* per
+trace: a predictor, BTB or I-cache geometry is simulated at most once
+per (trace, section) in a process, however many sweeps, chunks or
+figures ask for it.  Calls that pass a simulator instance are never
+memoized, because an instance carries its state across calls.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.configs import FrontEndConfig
+from repro.frontend.configs import (
+    BranchPredictorConfig,
+    BTBConfig,
+    FrontEndConfig,
+    ICacheConfig,
+)
 from repro.frontend.icache import InstructionCache
 from repro.frontend.predictors import BranchPredictor
 from repro.trace.columns import program_columns
 from repro.trace.events import Trace
 from repro.trace.instruction import BranchKind, CodeSection
+from repro.workloads.trace_cache import register_cache_clearer, register_stats_provider
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchPredictionResult:
     """Outcome of simulating a direction predictor over a trace section."""
 
@@ -62,7 +75,7 @@ class BranchPredictionResult:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BTBResult:
     """Outcome of simulating a branch target buffer over a trace section."""
 
@@ -88,7 +101,7 @@ class BTBResult:
         return self.misses / self.taken_branches
 
 
-@dataclass
+@dataclass(frozen=True)
 class ICacheResult:
     """Outcome of simulating an instruction cache over a trace section."""
 
@@ -115,7 +128,7 @@ class ICacheResult:
         return self.misses / self.accesses
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrontEndResult:
     """MPKI of the three front-end structures for one configuration."""
 
@@ -124,6 +137,16 @@ class FrontEndResult:
     branch: BranchPredictionResult
     btb: BTBResult
     icache: ICacheResult
+
+
+#: A component geometry the result table is keyed by, and its result.
+Component = Union[BranchPredictorConfig, BTBConfig, ICacheConfig]
+ComponentResult = Union[BranchPredictionResult, BTBResult, ICacheResult]
+
+#: Hit/miss counters of the component-result tables of every trace in
+#: the process (see :func:`component_table_info`).
+_COMPONENT_STATS = {"hits": 0, "misses": 0}
+_COMPONENT_STATS_LOCK = threading.Lock()
 
 
 def simulate_branch_predictor(
@@ -137,6 +160,7 @@ def simulate_branch_predictor(
     one shot; the predictor runs its batch path (vectorized for static
     predictors, a tight inlined loop for the stateful ones) and the
     misprediction breakdown is tallied with boolean-mask reductions.
+    The result is not memoized: ``predictor`` keeps its state.
     """
     columns = trace.branch_columns(section)
     mask = columns.is_conditional
@@ -177,9 +201,15 @@ def simulate_btb(
     """Measure BTB MPKI: taken branches that miss in the target buffer.
 
     Returns are excluded by default because their targets are supplied
-    by the return address stack rather than the BTB.
+    by the return address stack rather than the BTB.  Without ``btb``
+    (and without ``include_returns``) the ``entries``/``associativity``
+    geometry is served from the trace's component-result table; a
+    passed instance keeps its state and is run afresh on every call.
     """
     if btb is None:
+        if not include_returns:
+            geometry = BTBConfig(entries, associativity)
+            return simulate_components(trace, [geometry], section)[geometry]
         btb = BranchTargetBuffer(entries, associativity)
     columns = trace.branch_columns(section)
     mask = columns.taken & (columns.targets >= 0)
@@ -207,9 +237,14 @@ def simulate_icache(
     line_bytes: int = 64,
     associativity: int = 4,
 ) -> ICacheResult:
-    """Measure I-cache MPKI with sequential-fetch access semantics."""
+    """Measure I-cache MPKI with sequential-fetch access semantics.
+
+    Without ``cache`` the geometry is served from the trace's
+    component-result table; a passed instance is run afresh.
+    """
     if cache is None:
-        cache = InstructionCache(size_bytes, line_bytes, associativity)
+        geometry = ICacheConfig(size_bytes, line_bytes, associativity)
+        return simulate_components(trace, [geometry], section)[geometry]
     block_ids, _, _, _ = trace.event_columns(section)
     static = program_columns(trace.program)
     misses = cache.fetch_ranges(
@@ -232,16 +267,7 @@ def simulate_frontend(
     section: CodeSection = CodeSection.TOTAL,
 ) -> FrontEndResult:
     """Simulate all three structures of a front-end configuration."""
-    branch = simulate_branch_predictor(trace, config.predictor.build(), section)
-    btb = simulate_btb(trace, config.btb.build(), section)
-    icache = simulate_icache(trace, config.icache.build(), section)
-    return FrontEndResult(
-        config_name=config.name,
-        section=section,
-        branch=branch,
-        btb=btb,
-        icache=icache,
-    )
+    return simulate_frontend_many(trace, [config], [section])[(config.name, section)]
 
 
 class _SectionStreams:
@@ -252,8 +278,8 @@ class _SectionStreams:
     taken-non-return stream (BTB lookups), and the fetched line ranges
     (I-cache) -- so a batch over many configurations pays the masked
     gathers once instead of once per configuration.  The BTB and line
-    streams are decoded lazily, so predictor-only batches
-    (:func:`simulate_branch_predictors`) never gather them.
+    streams are decoded lazily, so predictor-only batches never gather
+    them.  Built only when a component-result table lookup misses.
     """
 
     def __init__(self, trace: Trace, section: CodeSection) -> None:
@@ -285,6 +311,16 @@ class _SectionStreams:
         block_ids, _, _, _ = self._trace.event_columns(self.section)
         static = program_columns(self._trace.program)
         return static.addresses[block_ids], static.size_bytes[block_ids]
+
+    def run(self, component: Component) -> ComponentResult:
+        """Simulate one component geometry on a fresh simulator instance."""
+        if isinstance(component, BranchPredictorConfig):
+            return self.run_predictor(component.build())
+        if isinstance(component, BTBConfig):
+            return self.run_btb(component.build())
+        if isinstance(component, ICacheConfig):
+            return self.run_icache(component.build())
+        raise TypeError(f"not a front-end component config: {component!r}")
 
     def run_predictor(self, predictor: BranchPredictor) -> BranchPredictionResult:
         """Run one direction predictor over the shared conditional stream."""
@@ -338,21 +374,42 @@ class _SectionStreams:
         )
 
 
-def simulate_branch_predictors(
+def simulate_components(
     trace: Trace,
-    predictors: Sequence[BranchPredictor],
+    components: Iterable[Component],
     section: CodeSection = CodeSection.TOTAL,
-) -> List[BranchPredictionResult]:
-    """Measure many direction predictors on one trace section.
+) -> Dict[Component, ComponentResult]:
+    """Results of predictor/BTB/I-cache geometries over one trace section.
 
-    The conditional-branch stream is decoded **once** and every
-    predictor runs over the shared columnar view, so an N-configuration
-    sweep (Figures 5/6) pays one set of masked gathers instead of N.
-    Results are bit-identical to calling
-    :func:`simulate_branch_predictor` per predictor.
+    Each result comes from the trace's component-result table, keyed by
+    ``(section, component)``.  A miss decodes the section's streams
+    (once per call) and runs the kernel on a fresh simulator, so every
+    distinct geometry is simulated once per trace and section however
+    many sweeps, chunks or figures ask for it.  The table lives on the
+    trace, so it is freed with the trace-cache entry.  Results are
+    frozen and shared by every caller.
+
+    Returns ``component -> result`` for each distinct component.
     """
-    streams = _SectionStreams(trace, section)
-    return [streams.run_predictor(predictor) for predictor in predictors]
+    table = trace._component_results
+    streams: Optional[_SectionStreams] = None
+    results: Dict[Component, ComponentResult] = {}
+    misses = 0
+    for component in components:
+        if component in results:
+            continue
+        key = (section, component)
+        result = table.get(key)
+        if result is None:
+            if streams is None:
+                streams = _SectionStreams(trace, section)
+            result = table[key] = streams.run(component)
+            misses += 1
+        results[component] = result
+    with _COMPONENT_STATS_LOCK:
+        _COMPONENT_STATS["hits"] += len(results) - misses
+        _COMPONENT_STATS["misses"] += misses
+    return results
 
 
 def simulate_frontend_many(
@@ -362,45 +419,60 @@ def simulate_frontend_many(
 ) -> Dict[Tuple[str, CodeSection], FrontEndResult]:
     """Simulate many front-end configurations over one trace, batched.
 
-    This is the multi-configuration engine: per section, the branch and
-    fetched-line streams are decoded **once** (one set of masked
-    gathers) and every configuration's predictor, BTB, and I-cache run
-    over the shared columnar views.  Identical sub-configurations
-    (e.g. two front-ends sharing one BTB geometry) are simulated once
-    and their result object reused, since the simulations are
-    deterministic functions of (geometry, stream).
+    This is the multi-configuration engine.  Each configuration's
+    predictor, BTB and I-cache geometry is looked up in the trace's
+    component-result table (:func:`simulate_components`), so a geometry
+    is simulated once per (trace, section) in the process -- across
+    calls, explore chunks, sweep plans and the Section V profile --
+    and front-ends sharing a geometry share its result object.  On a
+    miss the section's branch and fetched-line streams are decoded once
+    per call and the kernels run over the shared columnar views.
 
     Returns ``(config.name, section) -> FrontEndResult``; every result
-    is bit-identical to a per-config :func:`simulate_frontend` call
-    (asserted in the test suite).
+    is bit-identical to a fresh instance-based
+    :func:`simulate_branch_predictor`/:func:`simulate_btb`/
+    :func:`simulate_icache` run (asserted in the test suite).
     """
     results: Dict[Tuple[str, CodeSection], FrontEndResult] = {}
-    predictor_memo: Dict[tuple, BranchPredictionResult] = {}
-    btb_memo: Dict[tuple, BTBResult] = {}
-    icache_memo: Dict[tuple, ICacheResult] = {}
     for section in sections:
-        streams = _SectionStreams(trace, section)
+        parts = simulate_components(
+            trace,
+            (
+                part
+                for config in configs
+                for part in (config.predictor, config.btb, config.icache)
+            ),
+            section,
+        )
         for config in configs:
-            predictor_key = (config.predictor, section)
-            branch = predictor_memo.get(predictor_key)
-            if branch is None:
-                branch = streams.run_predictor(config.predictor.build())
-                predictor_memo[predictor_key] = branch
-            btb_key = (config.btb, section)
-            btb = btb_memo.get(btb_key)
-            if btb is None:
-                btb = streams.run_btb(config.btb.build())
-                btb_memo[btb_key] = btb
-            icache_key = (config.icache, section)
-            icache = icache_memo.get(icache_key)
-            if icache is None:
-                icache = streams.run_icache(config.icache.build())
-                icache_memo[icache_key] = icache
             results[(config.name, section)] = FrontEndResult(
                 config_name=config.name,
                 section=section,
-                branch=branch,
-                btb=btb,
-                icache=icache,
+                branch=parts[config.predictor],
+                btb=parts[config.btb],
+                icache=parts[config.icache],
             )
     return results
+
+
+def component_table_info() -> Dict[str, int]:
+    """Hit/miss counters of the per-trace component-result tables.
+
+    A hit is a (trace, section, geometry) result served without running
+    a kernel; a miss ran one.  Counted once per distinct geometry per
+    call, over every trace of the process.
+    """
+    with _COMPONENT_STATS_LOCK:
+        return dict(_COMPONENT_STATS)
+
+
+def _reset_component_stats() -> None:
+    with _COMPONENT_STATS_LOCK:
+        for counter in _COMPONENT_STATS:
+            _COMPONENT_STATS[counter] = 0
+
+
+# The tables live on the traces, so clearing the trace cache drops them
+# and zeroes their counters with the trace counters.
+register_cache_clearer(_reset_component_stats)
+register_stats_provider("components", component_table_info)

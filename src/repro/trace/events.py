@@ -148,6 +148,9 @@ class Trace(object):
         self._branch_cache: Dict[CodeSection, List[BranchRecord]] = {}
         self._branch_columns: Dict[CodeSection, BranchColumns] = {}
         self._event_masks: Dict[CodeSection, Optional[np.ndarray]] = {}
+        # (section, component config) -> frozen result;
+        # owned by repro.frontend.simulation.simulate_components.
+        self._component_results: Dict[tuple, object] = {}
 
     @classmethod
     def from_columns(

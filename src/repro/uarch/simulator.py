@@ -153,8 +153,9 @@ def profile_workload_frontend(
 
     All core flavours are simulated through the batched
     :func:`repro.frontend.simulation.simulate_frontend_many` engine,
-    which decodes each section's branch/line streams once and runs
-    every front-end configuration over the shared columnar views.
+    so a geometry another caller already ran on this trace section
+    (e.g. the tailored 256-entry BTB, which Figure 7 also sweeps) is
+    served from the trace's component-result table.
     """
     spec = workload.spec if isinstance(workload, SyntheticWorkload) else workload
     if instructions is None:

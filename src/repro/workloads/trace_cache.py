@@ -227,6 +227,13 @@ def workload_trace(
                 _TRACE_CACHE_STATS["disk_misses"] += 1
         workload: SyntheticWorkload = build_workload(spec)
         trace = workload.trace(int(instructions), seed=seed)
+        if namespace is not None:
+            # The built workload's trace is shared by every namespace:
+            # wrap its columns in a namespace-private Trace so per-trace
+            # caches (decoded streams, component results) stay isolated.
+            trace = Trace.from_columns(
+                trace.program, *trace.event_columns(), name=trace.name
+            )
         if _store_trace_to_disk(trace, disk_key):
             with _TRACE_CACHE_LOCK:
                 _TRACE_CACHE_STATS["disk_stores"] += 1

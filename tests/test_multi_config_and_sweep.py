@@ -1,16 +1,19 @@
 """Tests for the batched multi-configuration engine and the CMP sweep layer.
 
 Covers the bit-identity contract of ``simulate_frontend_many`` /
-``simulate_branch_predictors`` against the per-config paths, the
-trace/profile cache routing of the Section V stack, the ``run_on_cmp``
-activity accounting, ``evaluate_cmp_energy``, the shared normalization
-helper, and the ``cmpsweep`` scenario subsystem end to end (driver and
-CLI).
+``simulate_components`` against the per-config paths, the per-trace
+component-result table, the trace/profile cache routing of the Section
+V stack, the ``run_on_cmp`` activity accounting, ``evaluate_cmp_energy``,
+the shared normalization helper, and the ``cmpsweep`` scenario
+subsystem end to end (driver and CLI).
 """
 
 import dataclasses
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import experiments
 from repro.cli import main as cli_main
@@ -23,14 +26,22 @@ from repro.frontend.configs import (
     FrontEndConfig,
     ICacheConfig,
 )
+from repro.api import Session
+from repro.explore.grid import GridSpec
+from repro.frontend.btb import BranchTargetBuffer
+from repro.frontend.icache import InstructionCache
 from repro.frontend.predictors import make_predictor
 from repro.frontend.predictors.hybrid import PredictorWithLoop
 from repro.frontend.predictors.loop import LoopPredictor
 from repro.frontend.simulation import (
+    FrontEndResult,
+    component_table_info,
     simulate_branch_predictor,
-    simulate_branch_predictors,
+    simulate_btb,
+    simulate_components,
     simulate_frontend,
     simulate_frontend_many,
+    simulate_icache,
 )
 from repro.power.cmp_power import evaluate_cmp_energy
 from repro.power.core_power import (
@@ -40,7 +51,7 @@ from repro.power.core_power import (
     l2_area_mm2,
     l2_power_w,
 )
-from repro.trace import CodeSection
+from repro.trace import BranchKind, CodeSection, Trace
 from repro.uarch import (
     ASYMMETRIC_CMP,
     BASELINE_CMP,
@@ -60,7 +71,7 @@ from repro.uarch.simulator import (
     run_on_cmp,
 )
 from repro.uarch.sweep import SweepScenario
-from repro.workloads import Suite, build_workload, get_workload
+from repro.workloads import Suite, build_workload, get_workload, workload_trace
 
 SMALL = 60_000
 
@@ -90,11 +101,13 @@ class TestSimulateFrontendMany:
     )
     def test_bit_identical_to_per_config_simulation(self, ft_trace, section):
         configs = [BASELINE_FRONTEND, TAILORED_FRONTEND, MIXED_FRONTEND]
-        batched = simulate_frontend_many(ft_trace, configs, [section])
+        batched = simulate_frontend_many(_fresh_trace(ft_trace), configs, [section])
         for config in configs:
-            single = simulate_frontend(ft_trace, config, section)
+            single = simulate_frontend(_fresh_trace(ft_trace), config, section)
             many = batched[(config.name, section)]
-            assert dataclasses.asdict(many) == dataclasses.asdict(single)
+            reference = _instance_reference(ft_trace, config, section)
+            assert dataclasses.asdict(many) == reference
+            assert dataclasses.asdict(single) == reference
 
     def test_multi_section_batch(self, ft_trace):
         sections = [CodeSection.SERIAL, CodeSection.PARALLEL]
@@ -118,12 +131,220 @@ class TestSimulateFrontendMany:
 
     def test_branch_predictor_batch_matches_per_predictor(self, gobmk_trace):
         kinds = [("gshare", "small", False), ("tournament", "big", False), ("tage", "small", True)]
-        batched = simulate_branch_predictors(
-            gobmk_trace, [make_predictor(*args) for args in kinds]
-        )
-        for args, many in zip(kinds, batched):
+        configs = [BranchPredictorConfig(*args) for args in kinds]
+        batched = simulate_components(_fresh_trace(gobmk_trace), configs)
+        for args, config in zip(kinds, configs):
             single = simulate_branch_predictor(gobmk_trace, make_predictor(*args))
-            assert dataclasses.asdict(many) == dataclasses.asdict(single)
+            assert dataclasses.asdict(batched[config]) == dataclasses.asdict(single)
+
+
+def _fresh_trace(trace):
+    """A new Trace over the same columns: same streams, empty tables."""
+    return Trace.from_columns(trace.program, *trace.event_columns(), name=trace.name)
+
+
+def _instance_reference(trace, config, section):
+    """``asdict`` of a config's front-end result from fresh instances.
+
+    The instance-taking simulate_* calls gather their own streams and
+    never touch the component-result table, so they are an independent
+    reference for the table-backed paths.
+    """
+    return dataclasses.asdict(
+        FrontEndResult(
+            config_name=config.name,
+            section=section,
+            branch=simulate_branch_predictor(trace, config.predictor.build(), section),
+            btb=simulate_btb(trace, config.btb.build(), section),
+            icache=simulate_icache(trace, config.icache.build(), section),
+        )
+    )
+
+
+#: Front-ends over a few predictor, BTB and I-cache geometries; many
+#: share sub-configurations, so random subsets overlap in the table.
+TABLE_POOL = tuple(
+    FrontEndConfig(
+        name=f"pool-{index}",
+        predictor=BranchPredictorConfig(*predictor),
+        btb=BTBConfig(*btb),
+        icache=ICacheConfig(*icache),
+    )
+    for index, (predictor, btb, icache) in enumerate(
+        itertools.product(
+            (
+                ("gshare", "small", False),
+                ("tournament", "big", True),
+                ("tage", "small", False),
+            ),
+            ((256, 4), (512, 2)),
+            ((8 * 1024, 64, 2), (16 * 1024, 128, 4)),
+        )
+    )
+)
+SECTIONS = (CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL)
+_PROPERTY_TRACE = []
+_REFERENCE = {}
+
+
+def _property_trace():
+    if not _PROPERTY_TRACE:
+        source = build_workload(get_workload("FT")).trace(20_000)
+        _PROPERTY_TRACE.append(_fresh_trace(source))
+    return _PROPERTY_TRACE[0]
+
+
+def _reference(trace, config, section):
+    key = (config, section)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = _instance_reference(trace, config, section)
+    return _REFERENCE[key]
+
+
+calls = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(st.sampled_from(TABLE_POOL), min_size=1, max_size=5, unique=True),
+        st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=3, unique=True),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestComponentResultTable:
+    @settings(max_examples=25, deadline=None)
+    @given(calls)
+    def test_overlapping_calls_match_fresh_instances(self, call_list):
+        trace = _property_trace()
+        for batched, configs, sections in call_list:
+            if batched:
+                results = simulate_frontend_many(trace, configs, sections)
+            else:
+                results = {
+                    (config.name, section): simulate_frontend(trace, config, section)
+                    for section in sections
+                    for config in configs
+                }
+            for section in sections:
+                for config in configs:
+                    result = results[(config.name, section)]
+                    assert dataclasses.asdict(result) == _reference(
+                        trace, config, section
+                    )
+
+    def test_geometry_is_simulated_once_across_calls(self, ft_trace):
+        trace = _fresh_trace(ft_trace)
+        before = component_table_info()
+        first = simulate_frontend(trace, BASELINE_FRONTEND)
+        second = simulate_frontend_many(trace, [MIXED_FRONTEND, BASELINE_FRONTEND])
+        after = component_table_info()
+        assert second[("baseline", CodeSection.TOTAL)].icache is first.icache
+        assert second[("mixed", CodeSection.TOTAL)].branch is first.branch
+        # baseline: 3 misses.  The batch holds 4 distinct geometries:
+        # only mixed's I-cache misses, the other 3 hit.
+        assert after["misses"] - before["misses"] == 4
+        assert after["hits"] - before["hits"] == 3
+        assert simulate_btb(trace) is first.btb
+        assert simulate_icache(trace) is first.icache
+
+    def test_results_are_frozen(self, ft_trace):
+        result = simulate_frontend(ft_trace, BASELINE_FRONTEND)
+        for part in (result, result.branch, result.btb, result.icache):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                part.section = CodeSection.SERIAL
+
+    def test_chunked_explore_runs_each_icache_geometry_once(self, monkeypatch):
+        clear_trace_cache()
+        grid = GridSpec.frontend(
+            name="table-test",
+            predictor_budget=("small", "big"),
+            icache_kb=(8, 16, 32),
+            icache_associativity=(2, 4),
+        )
+        geometries = []
+        original = InstructionCache.fetch_ranges
+
+        def counting(cache, starts, sizes):
+            geometries.append(
+                (cache.size_bytes, cache.line_bytes, cache.associativity)
+            )
+            return original(cache, starts, sizes)
+
+        monkeypatch.setattr(InstructionCache, "fetch_ranges", counting)
+        session = Session(
+            instructions=20_000,
+            parallel=False,
+            trace_cache_dir=None,
+            result_cache_dir=None,
+        )
+        sections = (CodeSection.SERIAL, CodeSection.PARALLEL)
+        plan = session.explore(
+            grid, workloads=["FT"], sections=sections, chunk_points=4, use_store=False
+        )
+        result = plan.result()
+        assert result.chunks_total == 3  # 12 points, 6 I-cache geometries
+        icaches = {point.config.icache for point in grid.points()}
+        distinct = {
+            (icache.size_bytes, icache.line_bytes, icache.associativity)
+            for icache in icaches
+        }
+        assert len(distinct) == 6
+        # Once per distinct (section, ICacheConfig), although every
+        # geometry recurs in several chunks.
+        assert sorted(geometries) == sorted(
+            geometry for geometry in distinct for _ in sections
+        )
+        plan.result()  # a rerun over the same trace runs no kernel
+        assert len(geometries) == len(distinct) * len(sections)
+        clear_trace_cache()
+
+    def test_clear_and_namespaces_never_share_entries(self):
+        clear_trace_cache()
+        spec = get_workload("FT")
+        seen = []
+        for namespace in ("alpha", "beta"):
+            session = Session(
+                instructions=20_000,
+                trace_cache_dir=None,
+                result_cache_dir=None,
+                cache_namespace=namespace,
+            )
+            before = component_table_info()["misses"]
+            result = session.frontend(spec, BASELINE_FRONTEND)
+            assert component_table_info()["misses"] == before + 3
+            assert session.frontend(spec, BASELINE_FRONTEND).btb is result.btb
+            seen.append((session.trace(spec), result))
+        (alpha_trace, alpha), (beta_trace, beta) = seen
+        assert alpha_trace is not beta_trace
+        assert beta.btb is not alpha.btb
+        assert dataclasses.asdict(beta) == dataclasses.asdict(alpha)
+
+        clear_trace_cache()
+        assert component_table_info() == {"hits": 0, "misses": 0}
+        fresh = workload_trace(spec, 20_000)
+        assert fresh is not alpha_trace and fresh is not beta_trace
+        assert simulate_frontend(fresh, BASELINE_FRONTEND).btb is not alpha.btb
+        assert component_table_info() == {"hits": 0, "misses": 3}
+        clear_trace_cache()
+
+    def test_btb_instance_keeps_its_state_across_calls(self, ft_trace):
+        trace = _fresh_trace(ft_trace)
+        btb = BranchTargetBuffer(256, 4)
+        cold = simulate_btb(trace, btb)
+        warm = simulate_btb(trace, btb)
+        assert warm.misses < cold.misses
+        assert btb.lookups == 2 * cold.taken_branches
+        columns = trace.branch_columns()
+        mask = columns.taken & (columns.targets >= 0)
+        mask &= columns.kinds != int(BranchKind.RETURN)
+        addresses, targets = columns.addresses[mask], columns.targets[mask]
+        reference = BranchTargetBuffer(256, 4)
+        reference.access_sequence(addresses, targets)
+        assert reference.access_sequence(addresses, targets) == warm.misses
+        # The geometry path is memoized and always starts cold.
+        assert trace._component_results == {}
+        assert simulate_btb(trace, entries=256, associativity=4).misses == cold.misses
 
 
 class TestProfileCacheRouting:
