@@ -1,22 +1,23 @@
 """Runtime configuration: the single owner of every ``REPRO_*`` knob.
 
-This module is the **only** place in the package that reads a
-``REPRO_*`` environment variable.  Everything the environment used to
-configure at scattered call sites -- the trace engine choice, the two
-cache directories, sweep parallelism, and the default instruction
-budget -- is captured by one frozen :class:`RuntimeConfig` dataclass,
-resolved with *explicit argument > environment variable > default*
-precedence.
+This module is the **only** place in the package that touches the
+process environment.  Every knob the environment can set -- the trace
+engine choice, the two cache directories, sweep parallelism and
+supervision, the queue and the results service, the default
+instruction budget -- is captured by one frozen :class:`RuntimeConfig`
+dataclass, resolved by :meth:`RuntimeConfig.from_environment` with
+*explicit argument > environment variable > default* precedence.
 
-Two consumption modes coexist:
-
-* **Session mode** (:class:`repro.api.session.Session`): a config is
-  resolved once at construction and *activated* around plan execution,
-  so the lower layers see one consistent snapshot for the whole run.
-* **Legacy mode** (no active config): the ``current_*`` accessors fall
-  back to reading the environment on every call, preserving the
-  historical behaviour of the module-level entry points
-  (``workload_trace`` and friends) bit for bit.
+There is one consumption mode.  Each process resolves one config at
+its entry point (the CLI, a :class:`repro.api.session.Session`, a
+sweep worker handed its parent's config as an argument) and runs under
+:func:`activated`; the lower layers read it through
+:func:`current_config` and the ``current_*`` accessors.  Outside any
+activation :func:`current_config` falls back to a fresh
+:meth:`~RuntimeConfig.from_environment` snapshot, which stays the only
+parser of ``REPRO_*`` values.  The only write to the environment is
+:func:`export_environment_default`, used by the entry-point helpers
+that default the shared disk caches for later processes.
 
 The module deliberately imports nothing from the rest of the package,
 so every layer -- down to :mod:`repro.trace.compiler` -- can consult it
@@ -29,7 +30,6 @@ import contextlib
 import contextvars
 import dataclasses
 import os
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
@@ -57,7 +57,7 @@ PROCESSES_VARIABLE = "REPRO_PROCESSES"
 INSTRUCTIONS_VARIABLE = "REPRO_INSTRUCTIONS"
 
 #: Environment variable selecting the sweep executor (``auto``,
-#: ``serial``, ``processes``, or a ``module:attribute`` entry point).
+#: ``serial``, ``processes`` or ``queue``).
 EXECUTOR_VARIABLE = "REPRO_EXECUTOR"
 
 #: Environment variable fixing the per-item retry count of supervised
@@ -184,7 +184,7 @@ def read_environment(name: str) -> Optional[str]:
 
     Every other module resolves runtime knobs through
     :class:`RuntimeConfig` or the ``current_*`` accessors, which funnel
-    through here; grep for ``os.environ`` to verify.
+    through here (``tests/test_runtime_config.py`` enforces it).
     """
     return os.environ.get(name)
 
@@ -192,9 +192,12 @@ def read_environment(name: str) -> Optional[str]:
 def export_environment_default(name: str, value: str) -> None:
     """Export a variable into the process environment when it is unset.
 
-    The parallel-sweep helpers use this to hand the shared cache
-    directories to worker processes on spawn platforms; an explicitly
-    set (or explicitly disabled) variable is left untouched.
+    The entry-point helpers (``enable_shared_cache`` and
+    ``enable_shared_result_store``) use this to default the shared cache
+    directories before the process resolves its config, so later
+    processes inherit them too; an explicitly set (or explicitly
+    disabled) variable is left untouched.  The package's only write to
+    the environment.
     """
     if os.environ.get(name) is None:
         os.environ[name] = value
@@ -342,8 +345,8 @@ class RuntimeConfig:
     processes: Optional[int] = None
     #: Default dynamic trace length per workload.
     instructions: int = DEFAULT_INSTRUCTIONS
-    #: Sweep executor: ``"auto"``, a registry name (``"serial"``,
-    #: ``"processes"``), or a ``"module:attribute"`` entry point.
+    #: Sweep executor: ``"auto"`` or a registered name (``"serial"``,
+    #: ``"processes"``, ``"queue"``).
     executor: str = DEFAULT_EXECUTOR
     #: Per-item retries of supervised sweeps (0 disables retrying).
     retries: int = DEFAULT_RETRIES
@@ -380,6 +383,10 @@ class RuntimeConfig:
         object.__setattr__(
             self, "result_cache_dir", normalize_cache_dir(self.result_cache_dir)
         )
+        if self.instructions <= 0:
+            raise ValueError(
+                f"instructions must be positive, got {self.instructions!r}"
+            )
         executor = str(self.executor).strip() or DEFAULT_EXECUTOR
         object.__setattr__(self, "executor", executor)
         if self.retries < 0:
@@ -492,10 +499,8 @@ class RuntimeConfig:
         else:
             resolved_processes = None if processes is None else int(processes)
         if instructions is _UNSET:
-            resolved_instructions = _env_int(
-                INSTRUCTIONS_VARIABLE, DEFAULT_INSTRUCTIONS
-            )
-            if resolved_instructions is None:
+            resolved_instructions = _env_int(INSTRUCTIONS_VARIABLE, None)
+            if resolved_instructions is None or resolved_instructions <= 0:
                 resolved_instructions = DEFAULT_INSTRUCTIONS
         else:
             resolved_instructions = int(instructions)
@@ -601,27 +606,26 @@ class RuntimeConfig:
         return dataclasses.asdict(self)
 
 
-#: The activated config, or ``None`` when the environment rules.  A
+#: The activated config, or ``None`` outside any activation.  A
 #: :class:`~contextvars.ContextVar` so concurrent sessions in separate
-#: threads (or async tasks) cannot cross-contaminate; forked sweep
-#: workers inherit the forking thread's value, which is exactly the
-#: activation they must run under.
+#: threads (or async tasks) cannot cross-contaminate.  Worker processes
+#: never rely on inheriting it: they are handed their parent's config
+#: and activate it themselves.
 _ACTIVE: "contextvars.ContextVar[Optional[RuntimeConfig]]" = contextvars.ContextVar(
     "repro_active_runtime_config", default=None
 )
 
 
 def active_config() -> Optional[RuntimeConfig]:
-    """The currently activated config, or ``None`` in legacy mode."""
+    """The currently activated config, or ``None`` outside any activation."""
     return _ACTIVE.get()
 
 
 def current_config() -> RuntimeConfig:
     """The activated config, or a fresh environment snapshot.
 
-    In legacy mode this re-reads the environment on every call, so
-    module-level entry points keep their historical late-binding
-    behaviour (tests monkeypatching ``REPRO_*`` variables included).
+    Outside any activation this re-reads the environment on every call
+    (tests monkeypatching ``REPRO_*`` variables included).
     """
     active = _ACTIVE.get()
     if active is not None:
@@ -633,8 +637,8 @@ def current_config() -> RuntimeConfig:
 def activated(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
     """Make ``config`` the active config for a scope (this context only).
 
-    Scopes nest; the previous active config (usually ``None``, i.e.
-    legacy environment mode) is restored on exit.
+    Scopes nest; the previous active config (or none) is restored on
+    exit.
     """
     token = _ACTIVE.set(config)
     try:
@@ -643,109 +647,31 @@ def activated(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
         _ACTIVE.reset(token)
 
 
-#: Serializes every window that mutates the ``REPRO_*`` environment
-#: (:func:`worker_environment` and the legacy shared-cache export
-#: around a parallel pool): ``os.environ`` is process-global, so two
-#: threads saving/restoring it concurrently could leave one session's
-#: values behind.  Re-entrant in case a nested scope ever runs in the
-#: same thread.
-_WORKER_ENVIRONMENT_LOCK = threading.RLock()
-
-
-@contextlib.contextmanager
-def locked_environment() -> Iterator[None]:
-    """Hold the process-environment lock for a scope.
-
-    Taken by any code path that reads-then-exports ``REPRO_*``
-    variables around a worker pool, so it cannot interleave with a
-    concurrent :func:`worker_environment` window.
-    """
-    with _WORKER_ENVIRONMENT_LOCK:
-        yield
-
-
-@contextlib.contextmanager
-def worker_environment(config: RuntimeConfig) -> Iterator[None]:
-    """Temporarily export a config's trace knobs to the environment.
-
-    Parallel sweeps of an explicit session wrap their worker pool in
-    this so the workers -- which resolve knobs from the inherited
-    environment (spawn platforms) or the forked activation (fork
-    platforms) -- see the session's engine and trace-cache directory.
-    The parent's environment is restored on exit, so a session never
-    leaks its configuration into later legacy-mode calls.  Windows are
-    serialized under a process-wide lock: the environment is global
-    state, and interleaved save/restore from two threads would leak
-    one session's values permanently.
-    """
-    with _WORKER_ENVIRONMENT_LOCK:
-        trace_cache_dir = _namespaced(config.trace_cache_dir, config.cache_namespace)
-        values = {
-            TRACE_ENGINE_VARIABLE: config.trace_engine,
-            TRACE_CACHE_DIR_VARIABLE: (
-                trace_cache_dir if trace_cache_dir is not None else "none"
-            ),
-            # The exported directory is already namespaced; blank out the
-            # namespace variable so spawn-platform workers do not join it
-            # a second time.
-            CACHE_NAMESPACE_VARIABLE: "",
-        }
-        previous = {name: os.environ.get(name) for name in values}
-        os.environ.update(values)
-        try:
-            yield
-        finally:
-            for name, value in previous.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-
-
 def current_trace_engine() -> str:
     """Engine the workload layer should generate traces with."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.trace_engine
-    return _resolve_engine(read_environment(TRACE_ENGINE_VARIABLE) or "")
+    return current_config().trace_engine
 
 
 def current_cache_namespace() -> Optional[str]:
-    """Active cache namespace, or ``None`` when unset."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.cache_namespace
-    return normalize_cache_namespace(read_environment(CACHE_NAMESPACE_VARIABLE))
+    """Current cache namespace, or ``None`` when unset."""
+    return current_config().cache_namespace
 
 
 def current_trace_cache_dir() -> Optional[str]:
-    """Active trace-cache directory (namespaced), or ``None`` when disabled."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return _namespaced(active.trace_cache_dir, active.cache_namespace)
-    return _namespaced(
-        normalize_cache_dir(read_environment(TRACE_CACHE_DIR_VARIABLE)),
-        current_cache_namespace(),
-    )
+    """Current trace-cache directory (namespaced), or ``None`` when disabled."""
+    config = current_config()
+    return _namespaced(config.trace_cache_dir, config.cache_namespace)
 
 
 def current_result_cache_dir() -> Optional[str]:
-    """Active result-store directory (namespaced), or ``None`` when disabled."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return _namespaced(active.result_cache_dir, active.cache_namespace)
-    return _namespaced(
-        normalize_cache_dir(read_environment(RESULT_CACHE_DIR_VARIABLE)),
-        current_cache_namespace(),
-    )
+    """Current result-store directory (namespaced), or ``None`` when disabled."""
+    config = current_config()
+    return _namespaced(config.result_cache_dir, config.cache_namespace)
 
 
 def current_queue_dir() -> Optional[str]:
-    """Active work-queue directory, or ``None`` (ephemeral campaigns)."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.queue_dir
-    return normalize_cache_dir(read_environment(QUEUE_DIR_VARIABLE))
+    """Current work-queue directory, or ``None`` (ephemeral campaigns)."""
+    return current_config().queue_dir
 
 
 def semantic_runtime() -> Dict[str, Any]:

@@ -24,12 +24,14 @@ like the historical module-level sweep.  While a session executes, its
 config is *activated*
 (see :func:`repro.api.runtime_config.activated`) so every layer below
 -- trace engine selection, cache directories, the result store -- sees
-one consistent snapshot instead of re-reading the environment.
+one consistent snapshot instead of re-reading the environment.  Worker
+processes are handed that config as an argument and activate it
+themselves, so they see the same snapshot on every start method.
 
-The **default session** (:func:`default_session`) is special: it
-follows the process environment on every access instead of freezing a
-snapshot, which is exactly the historical behaviour of the module-level
-entry points (now removed) that used to delegate to it.
+Every session is a frozen snapshot; there is no special default one.
+Code that runs outside any session (a driver called directly) gets a
+fresh ``Session()`` from :func:`current_session`, resolved from the
+environment at that moment.
 """
 
 from __future__ import annotations
@@ -60,11 +62,7 @@ from repro.trace.instruction import CodeSection
 from repro.workloads.catalog import get_workload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import Suite
-from repro.workloads.trace_cache import (
-    enable_shared_cache,
-    trace_on_disk,
-    workload_trace,
-)
+from repro.workloads.trace_cache import trace_on_disk, workload_trace
 
 #: What a workload argument may be: a catalog name or a spec.
 WorkloadLike = Union[str, WorkloadSpec]
@@ -92,9 +90,14 @@ def parallel_map(
 
 
 def _prime_worker(args) -> None:
-    """Generate one trace into the shared disk cache (worker side)."""
-    spec, instructions, seed = args
-    workload_trace(spec, instructions, seed=seed)
+    """Generate one trace into the shared disk cache (worker side).
+
+    ``args`` carries the parent's config first, activated here so the
+    trace lands under the parent's engine and cache directory.
+    """
+    config, spec, instructions, seed = args
+    with rc.activated(config):
+        workload_trace(spec, instructions, seed=seed)
 
 
 def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
@@ -128,18 +131,19 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
 
 
 def _prime_shared_traces(keys: Sequence, processes: Optional[int]) -> None:
-    """Populate the shared trace cache for a sweep before forking.
+    """Populate the shared trace cache for a sweep before it starts workers.
 
     ``keys`` are ``(spec, instructions, seed)`` triples.  Traces the
-    disk layer is missing are generated *in parallel* (each priming
-    worker stores its ``.npz`` atomically), then the parent loads
-    everything into its in-memory cache, so sweep workers find every
-    trace present -- inherited on fork platforms, disk-loaded otherwise
-    -- instead of each regenerating its own.
+    disk layer is missing are generated *in parallel* under the current
+    config (each priming worker stores its ``.npz`` atomically), then
+    the parent loads everything into its in-memory cache, so sweep
+    workers find every trace present -- inherited on fork platforms,
+    disk-loaded otherwise -- instead of each regenerating its own.
     """
     missing = [key for key in keys if not trace_on_disk(*key)]
     if len(missing) > 1:
-        parallel_map(_prime_worker, missing, processes)
+        config = rc.current_config()
+        parallel_map(_prime_worker, [(config, *key) for key in missing], processes)
     for spec, instructions, seed in keys:
         workload_trace(spec, instructions, seed=seed)
 
@@ -153,38 +157,24 @@ class Session:
     here).  A provided config object is taken verbatim -- in
     particular, its ``trace_cache_dir=None`` counts as an explicit
     disable, so such a session never auto-defaults the shared trace
-    cache under parallel overrides (keyword construction does).  With
-    ``follow_environment=True`` the session re-reads the environment on
-    every access instead -- that mode exists for the process-wide
-    default session backing the legacy entry points and is not normally
-    constructed by hand.
+    cache under parallel overrides (keyword construction does).
     """
 
     def __init__(
         self,
         config: Optional[rc.RuntimeConfig] = None,
-        *,
-        follow_environment: bool = False,
         **overrides: Any,
     ) -> None:
-        if follow_environment and (config is not None or overrides):
-            raise ValueError(
-                "an environment-following session takes no explicit config"
-            )
-        self._follow_environment = follow_environment
         # Whether a later parallel override may auto-default the shared
         # trace-cache directory (the legacy run_sweep behaviour): only
         # when neither the caller nor the environment said anything
         # about the trace cache, so an explicit disable always wins.
         self._trace_cache_defaultable = (
-            not follow_environment
-            and config is None
+            config is None
             and "trace_cache_dir" not in overrides
             and rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) is None
         )
-        if follow_environment:
-            self._config: Optional[rc.RuntimeConfig] = None
-        elif config is None:
+        if config is None:
             self._config = rc.RuntimeConfig.from_environment(**overrides)
         elif overrides:
             self._config = config.replace(**overrides)
@@ -194,16 +184,9 @@ class Session:
     # -- configuration -----------------------------------------------
 
     @property
-    def follows_environment(self) -> bool:
-        """Whether this session re-reads ``REPRO_*`` on every access."""
-        return self._follow_environment
-
-    @property
     def config(self) -> rc.RuntimeConfig:
-        """The session's runtime config (frozen unless env-following)."""
-        if self._config is not None:
-            return self._config
-        return rc.RuntimeConfig.from_environment()
+        """The session's frozen runtime config."""
+        return self._config
 
     @contextlib.contextmanager
     def activate(self) -> Iterator["Session"]:
@@ -211,36 +194,11 @@ class Session:
 
         Also makes the session :func:`current_session` for the scope,
         so code below (the experiment drivers) routes its sweeps
-        through it.  The environment-following default session
-        activates only itself, not a config snapshot -- the layers
-        below keep reading the live environment, which is the legacy
-        contract.
+        through it.
         """
         token = _CURRENT.set(self)
         try:
-            if self._follow_environment:
-                yield self
-            else:
-                with rc.activated(self.config):
-                    yield self
-        finally:
-            _CURRENT.reset(token)
-
-    @contextlib.contextmanager
-    def _activated_as(self, config: rc.RuntimeConfig) -> Iterator["Session"]:
-        """Like :meth:`activate`, but pinning a derived config.
-
-        Used by :meth:`map` when a parallel override re-applies the
-        shared-cache default: the session stays ``current_session`` for
-        the scope while the lower layers see the effective config.
-        """
-        if self._follow_environment:
-            with self.activate():
-                yield self
-            return
-        token = _CURRENT.set(self)
-        try:
-            with rc.activated(config):
+            with rc.activated(self.config):
                 yield self
         finally:
             _CURRENT.reset(token)
@@ -480,12 +438,11 @@ class Session:
         caller overrides it: the ``executor`` knob selects the engine
         (``"auto"``: the supervised process pool when parallel, serial
         in-process otherwise), with per-item retries, timeouts, and
-        fault injection from the config.  Before a process executor
-        spawns workers, the shared disk trace cache is primed -- under
-        the session's ``trace_cache_dir`` for explicit sessions, or
-        (for the environment-following default session) under the
-        legacy auto-enabled per-user directory, exported to the
-        environment so worker processes inherit it.
+        fault injection from the config.  A parallel sweep on a session
+        without any trace-cache setting defaults the per-user shared
+        directory.  Before a process executor spawns workers, the
+        shared disk trace cache is primed; the workers are handed the
+        effective config and activate it.
 
         ``prime`` names the traces to pre-generate as ``(spec,
         instructions, seed)`` triples; when omitted they are inferred
@@ -507,7 +464,6 @@ class Session:
             executor_name = "processes" if use_parallel else "serial"
         if (
             use_parallel
-            and not self._follow_environment
             and config.trace_cache_dir is None
             and self._trace_cache_defaultable
         ):
@@ -527,42 +483,22 @@ class Session:
             heartbeat_interval=config.heartbeat_interval,
         )
         executor = exec_executors.resolve_executor(executor_name)
-        with self._activated_as(config):
+        # The session stays current_session() while the layers below
+        # (and the workers, which are handed it) see the effective config.
+        with self.activate(), rc.activated(config):
             scope = (
                 journal_scope
                 if journal_scope is not None
                 else exec_journal.active_journal_scope()
             )
             journal = exec_journal.journal_for_scope(scope)
-            if executor.name == "serial":
-                return exec_executors.execute_items(
-                    worker, arguments, settings, executor, journal
-                )
-            if prime is None:
-                prime = _default_prime_keys(arguments)
-            if self._follow_environment:
-                # Legacy contract: default the shared directory into the
-                # environment (a durable export) and leave engine
-                # resolution to the live environment.  Runs under the
-                # environment lock so a concurrent explicit session's
-                # temporary export cannot be observed mid-swap.
-                with rc.locked_environment():
-                    shared_dir = enable_shared_cache()
-                    if shared_dir is not None:
-                        _prime_shared_traces(prime, worker_count)
-                    return exec_executors.execute_items(
-                        worker, arguments, settings, executor, journal
-                    )
-            # Explicit session: export its trace knobs around the pool
-            # only, so spawn-platform workers resolve the session's
-            # engine and cache directory (fork platforms also inherit
-            # the activation), and nothing leaks afterwards.
-            with rc.worker_environment(config):
-                if config.trace_cache_dir is not None:
-                    _prime_shared_traces(prime, worker_count)
-                return exec_executors.execute_items(
-                    worker, arguments, settings, executor, journal
-                )
+            if executor.name != "serial" and config.trace_cache_dir is not None:
+                if prime is None:
+                    prime = _default_prime_keys(arguments)
+                _prime_shared_traces(prime, worker_count)
+            return exec_executors.execute_items(
+                worker, arguments, settings, executor, journal
+            )
 
     def workload_sweep(
         self,
@@ -611,9 +547,6 @@ class Session:
         return results
 
 
-#: The session legacy entry points delegate to (environment-following).
-_DEFAULT: Optional[Session] = None
-
 #: The innermost session activated via :meth:`Session.activate` -- a
 #: :class:`~contextvars.ContextVar` so threads cannot cross-contaminate.
 _CURRENT: "contextvars.ContextVar[Optional[Session]]" = contextvars.ContextVar(
@@ -621,29 +554,17 @@ _CURRENT: "contextvars.ContextVar[Optional[Session]]" = contextvars.ContextVar(
 )
 
 
-def default_session() -> Session:
-    """The process-wide environment-following session.
-
-    Backs every environment-following entry point (``workload_trace``
-    used as a plain function, the CLI fallbacks): it resolves its
-    config from the live environment on each access, which is exactly
-    the pre-Session behaviour.
-    """
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Session(follow_environment=True)
-    return _DEFAULT
-
-
 def current_session() -> Session:
-    """The session executing right now, else the default session.
+    """The session executing right now, else a fresh snapshot.
 
     The experiment drivers call this so that work initiated through an
     explicit session (``session.experiment("fig5").execute()``) runs
-    under that session's config, while direct driver calls keep the
-    legacy environment-following behaviour.
+    under that session's config.  Under a bare config activation (a
+    sweep worker) the snapshot is that config; outside any activation
+    it is a fresh ``Session()`` resolved from the environment.
     """
     current = _CURRENT.get()
     if current is not None:
         return current
-    return default_session()
+    active = rc.active_config()
+    return Session() if active is None else Session(active)

@@ -13,10 +13,10 @@ Usage::
     repro-frontend worker --queue-dir /shared/queue   # on any machine
     repro-frontend serve --port 8757 --queue-dir /shared/queue
 
-Every invocation constructs exactly one :class:`repro.api.Session`
-(its :class:`~repro.api.RuntimeConfig` resolved once from the flags
-and the ``REPRO_*`` environment) and routes every experiment through
-a session plan and the orchestrator
+Every invocation resolves exactly one :class:`~repro.api.RuntimeConfig`
+(once, from the flags and the ``REPRO_*`` environment) and runs under
+it; experiment runs hold it in one :class:`repro.api.Session` and route
+every experiment through a session plan and the orchestrator
 (:mod:`repro.results.orchestrator`): results are looked up in the
 content-addressed result store before anything is computed, freshly
 computed results are stored for the next invocation, and ``--out``
@@ -93,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="sweep executor: 'auto' (default), 'serial', 'processes', "
-        "'queue' (durable work queue), or a 'module:attribute' entry "
-        "point (REPRO_EXECUTOR)",
+        "or 'queue' (durable work queue) (REPRO_EXECUTOR)",
     )
     parser.add_argument(
         "--queue-dir",
@@ -184,7 +183,9 @@ def _resolve_instructions(args: argparse.Namespace) -> Optional[int]:
 
 def main(argv: Optional[list] = None) -> int:
     """Entry point of the ``repro-frontend`` command."""
+    from repro.api import runtime_config
     from repro.api.session import Session
+    from repro.exec import SweepError
     from repro.results.orchestrator import (
         RunReport,
         registry_names,
@@ -199,6 +200,8 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.smoke and args.full:
         parser.error("--smoke and --full are mutually exclusive")
+    if args.instructions is not None and args.instructions <= 0:
+        parser.error(f"--instructions must be positive, got {args.instructions}")
 
     scenario_names = None
     if args.scenarios:
@@ -223,7 +226,6 @@ def main(argv: Optional[list] = None) -> int:
         # the queue directory until the queue stays idle.  Any number
         # may run, on any machine that mounts the directory; a worker
         # started after a crash resumes exactly where the queue stands.
-        from repro.api import runtime_config
         from repro.exec.queue import serve_queue
 
         queue_dir = args.queue_dir or runtime_config.current_queue_dir()
@@ -231,7 +233,11 @@ def main(argv: Optional[list] = None) -> int:
             parser.error("'worker' requires --queue-dir (or REPRO_QUEUE_DIR)")
         enable_shared_result_store()
         enable_shared_cache()
-        counters = serve_queue(queue_dir, max_idle=args.max_idle)
+        config = runtime_config.RuntimeConfig.from_environment(
+            **_session_overrides(args)
+        )
+        with runtime_config.activated(config):
+            counters = serve_queue(queue_dir, max_idle=args.max_idle)
         print(
             f"worker idle, exiting: {counters['completed']} completed, "
             f"{counters['reclaims']} lease reclaims, "
@@ -246,8 +252,6 @@ def main(argv: Optional[list] = None) -> int:
         # The always-on results service: warm requests are served from
         # the shared store; misses become interactive-priority queue
         # items for external 'worker' processes to drain.
-        from repro.api import runtime_config
-        from repro.api.runtime_config import RuntimeConfig
         from repro.serve import ResultsServer, run_server
 
         queue_dir = args.queue_dir or runtime_config.current_queue_dir()
@@ -259,8 +263,9 @@ def main(argv: Optional[list] = None) -> int:
             overrides["serve_host"] = args.host
         if args.port is not None:
             overrides["serve_port"] = args.port
-        config = RuntimeConfig.from_environment(**overrides)
-        return run_server(ResultsServer(config=config, queue_dir=queue_dir))
+        config = runtime_config.RuntimeConfig.from_environment(**overrides)
+        with runtime_config.activated(config):
+            return run_server(ResultsServer(config=config, queue_dir=queue_dir))
 
     if args.experiment == "explore":
         return _run_explore(args, parser)
@@ -298,58 +303,51 @@ def main(argv: Optional[list] = None) -> int:
         )
         return 2
 
-    overrides = _session_overrides(args)
     # Default the shared result store into the environment first (so
-    # worker and later processes inherit it, the historical contract),
-    # then freeze the run's one Session, resolved exactly once.  A
-    # parallel run also exports the shared trace directory; the session
-    # already resolved the same directory for itself (parallel
-    # auto-defaults it), so the export is purely for later processes.
+    # later processes inherit it, the historical contract), then freeze
+    # the run's one Session, resolved exactly once, and run under it.
+    # A parallel session defaults the shared trace directory itself,
+    # and its workers are handed its config.
     enable_shared_result_store()
-    session = Session(**overrides)
-    if session.config.parallel:
-        enable_shared_cache()
-    instructions = session.config.instructions
-
+    session = Session(**_session_overrides(args))
     # Experiments run one plan at a time so output streams
     # incrementally; the registry order already places dependencies
     # (fig10) before their dependents (fig11), and every completed
     # experiment lands in the result store immediately, so an
     # interrupted `all` run resumes where it died.
-    from repro.exec import SweepError
+    with session.activate():
+        combined = RunReport(instructions=session.config.instructions)
+        for name in names:
+            before = _cache_counters() if args.verbose else None
+            plan = session.experiment(name, scenario_names=scenario_names)
+            try:
+                report = plan.report()
+            except SweepError as error:
+                # A sweep with permanently failed items: show the
+                # structured failure report instead of a worker traceback.
+                # Completed items are checkpointed, so a rerun replays them
+                # and recomputes only what is missing.
+                print(f"error: {name} failed:\n{error}", file=sys.stderr)
+                return 1
+            outcome = report.outcome(name)
+            combined.outcomes.append(outcome)
+            print(f"== {name} ==")
+            print(_render_artifact(outcome.artifact))
+            if before is not None:
+                _report_experiment(outcome, before)
+            print()
 
-    combined = RunReport(instructions=instructions)
-    for name in names:
-        before = _cache_counters() if args.verbose else None
-        plan = session.experiment(name, scenario_names=scenario_names)
-        try:
-            report = plan.report()
-        except SweepError as error:
-            # A sweep with permanently failed items: show the
-            # structured failure report instead of a worker traceback.
-            # Completed items are checkpointed, so a rerun replays them
-            # and recomputes only what is missing.
-            print(f"error: {name} failed:\n{error}", file=sys.stderr)
-            return 1
-        outcome = report.outcome(name)
-        combined.outcomes.append(outcome)
-        print(f"== {name} ==")
-        print(_render_artifact(outcome.artifact))
-        if before is not None:
-            _report_experiment(outcome, before)
-        print()
-
-    if args.verbose:
-        counts = combined.counts()
-        print(
-            f"[{args.experiment}] result store: {counts['computed']} computed, "
-            f"{counts['derived']} derived, {counts['cached']} served from store",
-            file=sys.stderr,
-        )
-    if args.out is not None:
-        manifest_path = write_manifest(combined, args.out)
-        print(f"manifest: {manifest_path}", file=sys.stderr)
-    return 0
+        if args.verbose:
+            counts = combined.counts()
+            print(
+                f"[{args.experiment}] result store: {counts['computed']} computed, "
+                f"{counts['derived']} derived, {counts['cached']} served from store",
+                file=sys.stderr,
+            )
+        if args.out is not None:
+            manifest_path = write_manifest(combined, args.out)
+            print(f"manifest: {manifest_path}", file=sys.stderr)
+        return 0
 
 
 def _session_overrides(args: argparse.Namespace) -> Dict[str, object]:
@@ -391,7 +389,6 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     from repro.explore.grid import GRID_PRESETS, get_grid
     from repro.results.orchestrator import ExperimentOutcome, RunReport, write_manifest
     from repro.results.store import enable_shared_result_store
-    from repro.workloads.trace_cache import enable_shared_cache
 
     if args.scenarios:
         print(
@@ -414,46 +411,45 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
     enable_shared_result_store()
     session = Session(**_session_overrides(args))
-    if session.config.parallel:
-        enable_shared_cache()
-    plan = session.explore(grid)
-    try:
-        result = plan.result()
-    except SweepError as error:
-        print(f"error: explore failed:\n{error}", file=sys.stderr)
-        return 1
-    print(f"== explore[{preset}] ==")
-    print(render_blocks(result.tables()))
-    status = "cached" if result.chunks_computed == 0 else "computed"
-    print(
-        f"[explore] {status}: {result.points} grid points x "
-        f"{len(result.workloads)} workloads; chunks: {result.chunks_total} "
-        f"total, {result.chunks_cached} cached, {result.chunks_computed} "
-        "computed",
-        file=sys.stderr,
-    )
-    if args.out is not None:
-        from repro.results.artifacts import build_frame_artifact
+    with session.activate():
+        plan = session.explore(grid)
+        try:
+            result = plan.result()
+        except SweepError as error:
+            print(f"error: explore failed:\n{error}", file=sys.stderr)
+            return 1
+        print(f"== explore[{preset}] ==")
+        print(render_blocks(result.tables()))
+        status = "cached" if result.chunks_computed == 0 else "computed"
+        print(
+            f"[explore] {status}: {result.points} grid points x "
+            f"{len(result.workloads)} workloads; chunks: {result.chunks_total} "
+            f"total, {result.chunks_cached} cached, {result.chunks_computed} "
+            "computed",
+            file=sys.stderr,
+        )
+        if args.out is not None:
+            from repro.results.artifacts import build_frame_artifact
 
-        artifact = build_frame_artifact(
-            "explore",
-            f"design-space exploration of the {preset!r} grid",
-            result.tables(),
-            result,
-        )
-        report = RunReport(instructions=session.config.instructions)
-        report.outcomes.append(
-            ExperimentOutcome(
-                name="explore",
-                title=artifact["title"],
-                key=plan.journal_scope(),
-                status=status,
-                artifact=artifact,
+            artifact = build_frame_artifact(
+                "explore",
+                f"design-space exploration of the {preset!r} grid",
+                result.tables(),
+                result,
             )
-        )
-        manifest_path = write_manifest(report, args.out)
-        print(f"manifest: {manifest_path}", file=sys.stderr)
-    return 0
+            report = RunReport(instructions=session.config.instructions)
+            report.outcomes.append(
+                ExperimentOutcome(
+                    name="explore",
+                    title=artifact["title"],
+                    key=plan.journal_scope(),
+                    status=status,
+                    artifact=artifact,
+                )
+            )
+            manifest_path = write_manifest(report, args.out)
+            print(f"manifest: {manifest_path}", file=sys.stderr)
+        return 0
 
 
 def _render_artifact(artifact: dict) -> str:

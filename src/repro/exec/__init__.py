@@ -6,8 +6,8 @@ its weakest worker" into supervised, resumable, testable execution:
 :class:`SerialExecutor` / :class:`SupervisedProcessExecutor`
     Per-item dispatch with typed outcomes, retries with backoff,
     worker replacement, per-item timeouts, and graceful serial
-    degradation.  Selected by ``RuntimeConfig.executor`` (``"serial"``,
-    ``"processes"``, or a ``"module:attribute"`` entry point).
+    degradation.  Selected by ``RuntimeConfig.executor`` (``"serial"``
+    or ``"processes"``).
 :class:`ItemResult` / :class:`SweepReport` / :class:`SweepError`
     Every item finishes as a typed outcome; failed sweeps raise a
     structured failure report carrying the partial results.

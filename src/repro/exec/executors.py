@@ -15,10 +15,12 @@ sweep with executors that treat each item as its own unit of work:
   deterministic jitter; and when the pool itself cannot be built the
   run degrades to serial in-process execution instead of failing.
 
-Executors are looked up by name through :func:`resolve_executor` --
-``"serial"``, ``"processes"``, or an entry-point style
-``"module:attribute"`` string -- which is the seam a distributed
-work-queue executor plugs into without touching any call site.
+Executors are looked up by registered name through
+:func:`resolve_executor` -- ``"serial"``, ``"processes"``, or
+``"queue"`` (the durable work queue of :mod:`repro.exec.queue`).
+Worker processes are handed the parent's active
+:class:`~repro.api.runtime_config.RuntimeConfig` and activate it, so
+they never depend on inherited context or exported variables.
 
 Every item ends as an :class:`~repro.exec.results.ItemResult`;
 :func:`execute_items` is the one entry point that combines journal
@@ -28,8 +30,6 @@ results into a :class:`~repro.exec.results.SweepReport`.
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -39,6 +39,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.api import runtime_config
 from repro.exec import journal as journal_module
 from repro.exec.faults import FaultPlan, SimulatedWorkerDeath
 from repro.exec.results import (
@@ -155,9 +156,8 @@ class Executor:
         :class:`ItemResult` *the moment it is resolved* -- this is the
         checkpointing hook: the journal records successes incrementally
         through it, so a sweep killed mid-run keeps every item that had
-        already finished.  Executors that never call it still work; the
-        caller then journals from the returned results, protecting
-        completed-run resumes only.
+        already finished.  Every executor must call it for each fresh
+        success: :func:`execute_items` journals through it alone.
         """
         raise NotImplementedError
 
@@ -206,8 +206,10 @@ class SerialExecutor(Executor):
         return RunOutcome(results, False)
 
 
-def _worker_main(worker, plan_json, task_conn, result_conn, parent_conns=()) -> None:
-    """Loop of one supervised worker process.
+def _worker_main(
+    worker, config, plan_json, task_conn, result_conn, parent_conns=()
+) -> None:
+    """Loop of one supervised worker process, under the parent's ``config``.
 
     Tasks are ``(index, attempt, args)``; replies are ``(index,
     attempt, status, payload)`` where a success payload is the item's
@@ -228,25 +230,26 @@ def _worker_main(worker, plan_json, task_conn, result_conn, parent_conns=()) -> 
         except OSError:
             pass
     plan = FaultPlan.from_json(plan_json) if plan_json else None
-    while True:
-        try:
-            task = task_conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        index, attempt, args = task
-        try:
-            if plan is not None:
-                plan.fire(index, attempt, allow_exit=True)
-            result_conn.send((index, attempt, STATUS_OK, worker(args)))
-        except Exception as failure:
+    with runtime_config.activated(config):
+        while True:
             try:
-                result_conn.send(
-                    (index, attempt, STATUS_ERROR, describe_exception(failure))
-                )
-            except (OSError, ValueError):
+                task = task_conn.recv()
+            except (EOFError, OSError):
                 return
+            if task is None:
+                return
+            index, attempt, args = task
+            try:
+                if plan is not None:
+                    plan.fire(index, attempt, allow_exit=True)
+                result_conn.send((index, attempt, STATUS_OK, worker(args)))
+            except Exception as failure:
+                try:
+                    result_conn.send(
+                        (index, attempt, STATUS_ERROR, describe_exception(failure))
+                    )
+                except (OSError, ValueError):
+                    return
 
 
 class _WorkerHandle:
@@ -266,6 +269,7 @@ class _WorkerHandle:
             target=_worker_main,
             args=(
                 worker,
+                runtime_config.current_config(),
                 plan_json,
                 task_recv,
                 result_send,
@@ -554,10 +558,8 @@ _REGISTRY: Dict[str, Callable[[], Executor]] = {
 def register_executor(name: str, factory: Callable[[], Executor]) -> None:
     """Register (or replace) a named executor factory.
 
-    This is the plug-in seam: a distributed work-queue backend
-    registers itself here (or is addressed as ``"module:attribute"``
-    without registration) and every sweep can select it through
-    ``RuntimeConfig.executor`` / ``REPRO_EXECUTOR``.
+    This is the plug-in seam: every sweep can then select the executor
+    through ``RuntimeConfig.executor`` / ``REPRO_EXECUTOR``.
     """
     _REGISTRY[name] = factory
 
@@ -568,50 +570,12 @@ def executor_names() -> List[str]:
 
 
 def resolve_executor(name: str) -> Executor:
-    """Instantiate an executor by registry name or entry point.
-
-    ``"module:attribute"`` imports ``module`` and calls ``attribute``
-    (a zero-argument factory -- typically the executor class itself).
-    """
+    """Instantiate an executor by registered name."""
     factory = _REGISTRY.get(name)
-    if factory is None and ":" in name:
-        module_name, _, attribute = name.partition(":")
-        try:
-            factory = getattr(importlib.import_module(module_name), attribute)
-        except (ImportError, AttributeError) as error:
-            raise ValueError(
-                f"cannot load executor entry point {name!r}: {error}"
-            ) from error
     if factory is None:
         known = ", ".join(executor_names())
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of {known} "
-            "or a 'module:attribute' entry point"
-        )
-    executor = factory()
-    runner = getattr(executor, "run", None)
-    if not callable(runner):
-        raise TypeError(f"executor {name!r} has no callable run() method")
-    return executor
-
-
-def _accepts_on_result(run: Callable) -> bool:
-    """Whether an executor's ``run`` takes the checkpoint hook.
-
-    Entry-point executors written against the original three-argument
-    interface keep working: they just skip incremental checkpointing
-    and are journaled from their returned results instead.
-    """
-    try:
-        signature = inspect.signature(run)
-    except (TypeError, ValueError):
-        return True
-    if any(
-        parameter.kind == inspect.Parameter.VAR_POSITIONAL
-        for parameter in signature.parameters.values()
-    ):
-        return True
-    return "on_result" in signature.parameters
+        raise ValueError(f"unknown executor {name!r}; expected one of {known}")
+    return factory()
 
 
 def execute_items(
@@ -654,19 +618,9 @@ def execute_items(
     remaining = [(index, arguments[index]) for index in order if index not in replayed]
     if remaining:
         hook = checkpoint if journal is not None else None
-        if hook is not None and not _accepts_on_result(executor.run):
-            hook = None  # A pre-hook custom executor; see safety net below.
-        if hook is not None:
-            outcome = executor.run(worker, remaining, settings, hook)
-        else:
-            outcome = executor.run(worker, remaining, settings)
+        outcome = executor.run(worker, remaining, settings, hook)
     else:
         outcome = RunOutcome([], False)
-    if journal is not None:
-        # Safety net for executors that never call the hook (a custom
-        # entry point): journal whatever only surfaced in the results.
-        for result in outcome.results:
-            checkpoint(result)
     merged: Dict[int, ItemResult] = dict(replayed)
     for result in outcome.results:
         merged[result.index] = result

@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.api import runtime_config
 from repro.exec import leases
 from repro.exec.executors import (
     ExecutionSettings,
@@ -918,13 +919,18 @@ class QueueWorker:
         return reclaimed
 
 
-def _spawned_worker_main(worker, root: str, parent_pid: int) -> None:
-    """Entry point of a supervisor-spawned local queue worker."""
+def _spawned_worker_main(worker, config, root: str, parent_pid: int) -> None:
+    """Entry point of a supervisor-spawned local queue worker.
+
+    Runs under ``config``, the supervisor's active config handed over
+    at spawn.
+    """
     try:
         campaign = open_campaign(root, worker=worker)
     except (OSError, ValueError):
         return
-    QueueWorker(campaign, allow_exit=True, parent_pid=parent_pid).drain()
+    with runtime_config.activated(config):
+        QueueWorker(campaign, allow_exit=True, parent_pid=parent_pid).drain()
 
 
 class QueueExecutor(Executor):
@@ -943,8 +949,6 @@ class QueueExecutor(Executor):
         items = list(items)
         if not items:
             return RunOutcome([], False)
-        from repro.api import runtime_config
-
         queue_dir = settings.queue_dir or runtime_config.current_queue_dir()
         ephemeral = queue_dir is None
         if ephemeral:
@@ -995,13 +999,14 @@ class QueueExecutor(Executor):
             count = os.cpu_count() or 1
         count = max(1, min(int(count), len(unresolved)))
         ctx = multiprocessing.get_context()
+        config = runtime_config.current_config()
         workers: List[Any] = []
 
         def spawn() -> bool:
             try:
                 process = ctx.Process(
                     target=_spawned_worker_main,
-                    args=(campaign.worker, campaign.root, os.getpid()),
+                    args=(campaign.worker, config, campaign.root, os.getpid()),
                     daemon=True,
                 )
                 process.start()

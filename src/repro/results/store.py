@@ -78,8 +78,8 @@ def default_result_store_dir() -> str:
 def resolved_result_dir() -> Optional[str]:
     """The active disk-store directory, or ``None`` when disabled.
 
-    Resolution goes through :mod:`repro.api.runtime_config`: an
-    activated session config wins over the environment variable.
+    Resolution goes through :mod:`repro.api.runtime_config`: the
+    activated config wins over a fresh environment snapshot.
     """
     return runtime_config.current_result_cache_dir()
 
@@ -87,11 +87,11 @@ def resolved_result_dir() -> Optional[str]:
 def enable_shared_result_store() -> Optional[str]:
     """Turn the disk layer on, defaulting to the per-user directory.
 
-    Called by the CLI before orchestrated runs: when the directory
-    variable is unset it is exported (so ``--parallel`` workers and
-    later processes inherit it); an explicit path or disable value is
-    left untouched.  Returns the active directory, or ``None`` when
-    explicitly disabled.
+    Called at process entry points only (the CLI, before it resolves
+    its config): when the directory variable is unset it is exported,
+    so the process's config and every later process see it; an
+    explicit path or disable value is left untouched.  Returns the
+    active directory, or ``None`` when explicitly disabled.
     """
     runtime_config.export_environment_default(
         RESULT_CACHE_DIR_VARIABLE, default_result_store_dir()

@@ -137,11 +137,11 @@ def default_shared_cache_dir() -> str:
 def resolved_cache_dir() -> Optional[str]:
     """The active disk-cache directory, or ``None`` when disabled.
 
-    Resolution goes through :mod:`repro.api.runtime_config`: an
-    activated session config wins; otherwise the environment variable
-    rules, where unset means "no disk layer" for plain calls (parallel
-    sweeps opt in via :func:`enable_shared_cache`) and an explicit
-    disable value turns the disk layer off everywhere.
+    Resolution goes through :mod:`repro.api.runtime_config`: the
+    activated config wins; otherwise a fresh environment snapshot
+    rules, where unset means "no disk layer" (parallel sweeps default
+    the shared directory) and an explicit disable value turns the disk
+    layer off everywhere.
     """
     return runtime_config.current_trace_cache_dir()
 
@@ -149,10 +149,12 @@ def resolved_cache_dir() -> Optional[str]:
 def enable_shared_cache() -> Optional[str]:
     """Turn the disk layer on, defaulting to the per-user directory.
 
-    Called by parallel sweeps before forking workers: when the cache
-    directory variable is unset it is exported (so worker processes
-    inherit it); an explicit path or disable value is left untouched.
-    Returns the active directory, or ``None`` when explicitly disabled.
+    Called at process entry points only (the CLI ``worker`` command),
+    before the process resolves its config: when the cache directory
+    variable is unset it is exported (so later processes inherit it
+    too); an explicit path or disable value is left untouched.  Returns
+    the directory the environment now resolves to, or ``None`` when
+    explicitly disabled.
     """
     runtime_config.export_environment_default(
         TRACE_CACHE_DIR_VARIABLE, default_shared_cache_dir()

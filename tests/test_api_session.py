@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ResultFrame, RuntimeConfig, Session, current_session, default_session
+from repro.api import ResultFrame, RuntimeConfig, Session, current_session
+from repro.api import runtime_config as rc
 from repro.api.frame import artifact_frames, write_frames_csv
 from repro.experiments import run_fig06, tables_fig06
 from repro.workloads.trace_cache import workload_trace
@@ -129,7 +130,6 @@ class TestSessionConfig:
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "111")
         session = Session(instructions=222)
         assert session.config.instructions == 222
-        assert not session.follows_environment
 
     def test_config_object_plus_overrides(self):
         base = RuntimeConfig(instructions=10, parallel=True)
@@ -137,24 +137,26 @@ class TestSessionConfig:
         assert session.config.instructions == 20
         assert session.config.parallel is True
 
-    def test_default_session_follows_environment(self, monkeypatch):
-        session = default_session()
-        assert session.follows_environment
+    def test_current_session_outside_activation_snapshots_environment(
+        self, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "777")
+        session = current_session()
         assert session.config.instructions == 777
         monkeypatch.delenv("REPRO_INSTRUCTIONS")
-        assert session.config.instructions != 777
-
-    def test_follow_environment_rejects_explicit_config(self):
-        with pytest.raises(ValueError):
-            Session(RuntimeConfig(), follow_environment=True)
+        # A frozen snapshot: the environment change reaches only a new one.
+        assert session.config.instructions == 777
+        assert current_session().config.instructions != 777
 
     def test_current_session_tracks_activation(self):
         session = Session(instructions=INSTRUCTIONS)
-        assert current_session() is default_session()
+        assert current_session() is not session
         with session.activate():
             assert current_session() is session
-        assert current_session() is default_session()
+        assert current_session() is not session
+        with rc.activated(session.config):
+            # A bare config activation (a sweep worker) snapshots it.
+            assert current_session().config is session.config
 
     def test_cache_namespace_isolates_concurrent_sessions_on_disk(self, tmp_path):
         """Two namespaced sessions sharing cache roots never collide:
@@ -454,8 +456,8 @@ class TestLegacyShimsRemoved:
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
         specs = [get_workload("FT"), get_workload("LU")]
         arguments = [(spec, INSTRUCTIONS) for spec in specs]
-        serial = default_session().map(_shim_worker, arguments)
-        parallel = default_session().map(
+        serial = Session().map(_shim_worker, arguments)
+        parallel = Session().map(
             _shim_worker, arguments, parallel=True, processes=2
         )
         assert serial == [_shim_worker(args) for args in arguments]

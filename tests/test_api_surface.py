@@ -37,7 +37,6 @@ class TestPublicSurface:
             "RuntimeConfig",
             "Session",
             "current_session",
-            "default_session",
         ]
 
     def test_every_export_resolves(self):
@@ -96,7 +95,6 @@ class TestPublicSurface:
         assert parameters(Session.__init__) == [
             "self",
             "config",
-            "follow_environment",
             "overrides",
         ]
         assert parameters(Session.sweep) == [

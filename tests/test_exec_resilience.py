@@ -341,35 +341,7 @@ class TestKillAndResume:
         assert not [item for item in other.items if item.status == STATUS_REPLAYED]
 
 
-class LegacyListExecutor:
-    """An entry-point executor written against the pre-hook interface."""
-
-    name = "legacy-list"
-
-    def run(self, worker, items, settings):
-        from repro.exec.executors import RunOutcome
-        from repro.exec.results import ItemResult
-
-        results = [
-            ItemResult(index, STATUS_OK, value=worker(args)) for index, args in items
-        ]
-        return RunOutcome(results, False)
-
-
 class TestExecutorResolution:
-    def test_entry_point_executor_resolves_by_module_attribute(self):
-        executor = resolve_executor("test_exec_resilience:LegacyListExecutor")
-        assert executor.name == "legacy-list"
-
-    def test_pre_hook_executor_is_journaled_from_results(self, tmp_path):
-        # A custom executor that never calls on_result still checkpoints:
-        # execute_items journals its returned successes as a safety net.
-        executor = resolve_executor("test_exec_resilience:LegacyListExecutor")
-        journal = SweepJournal(str(tmp_path / "scope"))
-        report = execute_items(_square, ITEMS, serial_settings(), executor, journal)
-        assert report.values() == [0, 1, 4, 9]
-        assert len(journal.load()) == len(ITEMS)
-
     def test_unknown_executor_is_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("warp-drive")
@@ -443,11 +415,11 @@ class TestShimsRemoved:
         assert not hasattr(common, "workload_trace")
 
     def test_canonical_homes_still_serve_the_replacements(self):
-        from repro.api import default_session
+        from repro.api import Session
         from repro.workloads import get_workload
         from repro.workloads.trace_cache import workload_trace
 
-        assert default_session().map(_square, ITEMS) == [
+        assert Session().map(_square, ITEMS) == [
             _square(item) for item in ITEMS
         ]
         spec = get_workload("FT")

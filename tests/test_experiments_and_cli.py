@@ -140,3 +140,10 @@ class TestCli:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             cli_main(["figure99"])
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_instructions_is_a_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fig5", "--instructions", budget])
+        assert exit_info.value.code == 2
+        assert "--instructions must be positive" in capsys.readouterr().err

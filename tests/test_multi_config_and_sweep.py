@@ -58,7 +58,6 @@ from repro.uarch import (
     BASELINE_CORE,
     STANDARD_CMP_CONFIGS,
     TAILORED_CORE,
-    cmp_grid,
     get_scenario,
     mix_config,
     profile_workload_frontend,
@@ -495,37 +494,18 @@ class TestSweepScenarios:
             mix_config("quantum", 8)
 
     def test_cmp_grid_cross_product(self):
-        with pytest.warns(DeprecationWarning, match="GridSpec"):
-            grid = cmp_grid(
-                (1, 8), mixes=("baseline", "asymmetric"), l2_sizes_kb=(256, 512)
-            )
+        grid = GridSpec.cmp(
+            (1, 8), mixes=("baseline", "asymmetric"), l2_kb=(256, 512)
+        ).configs()
         # asymmetric does not exist at one core: (2 mixes * 2 counts - 1) * 2 L2s.
         assert len(grid) == 6
         assert len({cmp.name for cmp in grid}) == 6
         assert any(cmp.l2_kb_per_core == 512 for cmp in grid)
 
-    def test_cmp_grid_matches_grid_spec(self):
-        # The deprecated wrapper and the declarative spec are the same grid.
-        from repro.explore import GridSpec
-
-        with pytest.warns(DeprecationWarning):
-            legacy = cmp_grid(
-                (1, 2, 8, 64),
-                mixes=("baseline", "tailored", "asymmetric", "asymmetric++"),
-                l2_sizes_kb=(128, 256),
-            )
-        spec = GridSpec.cmp(
-            (1, 2, 8, 64),
-            mixes=("baseline", "tailored", "asymmetric", "asymmetric++"),
-            l2_kb=(128, 256),
-        )
-        assert tuple(legacy) == spec.configs()
-
     def test_cmp_grid_deduplicates_overlapping_mixes(self):
         # asymmetric++ at N cores is the same chip as asymmetric at N+1;
         # the grid must emit it once so SweepScenario accepts the result.
-        with pytest.warns(DeprecationWarning):
-            grid = cmp_grid((2, 3), mixes=("asymmetric", "asymmetric++"))
+        grid = GridSpec.cmp((2, 3), mixes=("asymmetric", "asymmetric++")).configs()
         names = [cmp.name for cmp in grid]
         assert len(names) == len(set(names))
         SweepScenario(name="dedup", description="", cmps=tuple(grid))

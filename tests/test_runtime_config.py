@@ -8,6 +8,15 @@ scoping the Session layer builds on.
 
 from __future__ import annotations
 
+import ast
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.api import runtime_config as rc
@@ -141,10 +150,22 @@ class TestPrecedence:
             rc.RuntimeConfig.from_environment(instructions=12345).instructions
             == 12345
         )
-        # An explicit zero is preserved, not swallowed by a falsy check.
-        assert rc.RuntimeConfig.from_environment(instructions=0).instructions == 0
-        monkeypatch.setenv(rc.INSTRUCTIONS_VARIABLE, "0")
-        assert rc.RuntimeConfig.from_environment().instructions == 0
+        # A non-positive budget is rejected when explicit ...
+        for bad in (0, -100):
+            with pytest.raises(ValueError, match="instructions must be positive"):
+                rc.RuntimeConfig.from_environment(instructions=bad)
+            with pytest.raises(ValueError, match="instructions must be positive"):
+                rc.RuntimeConfig(instructions=bad)
+        with pytest.raises(ValueError, match="instructions must be positive"):
+            rc.RuntimeConfig().replace(instructions=0)
+        # ... and falls back to the default from the environment, like
+        # every other lenient environment knob.
+        for bad in ("0", "-5", "lots"):
+            monkeypatch.setenv(rc.INSTRUCTIONS_VARIABLE, bad)
+            assert (
+                rc.RuntimeConfig.from_environment().instructions
+                == rc.DEFAULT_INSTRUCTIONS
+            )
 
     def test_executor(self, monkeypatch):
         monkeypatch.delenv(rc.EXECUTOR_VARIABLE, raising=False)
@@ -392,29 +413,6 @@ class TestCacheNamespace:
         assert dir_a != dir_b
         assert dir_a.startswith(shared) and dir_b.startswith(shared)
 
-    def test_worker_environment_exports_namespaced_dir_once(
-        self, monkeypatch, tmp_path
-    ):
-        import os
-
-        monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "parent-ns")
-        config = rc.RuntimeConfig(
-            trace_cache_dir=str(tmp_path / "traces"), cache_namespace="ns"
-        )
-        with rc.worker_environment(config):
-            # The exported directory is already namespaced, and the
-            # namespace variable is blanked so workers (which resolve it
-            # in legacy mode) cannot join it a second time.
-            assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == os.path.join(
-                str(tmp_path / "traces"), "ns"
-            )
-            assert rc.read_environment(rc.CACHE_NAMESPACE_VARIABLE) == ""
-            assert rc.current_trace_cache_dir() == os.path.join(
-                str(tmp_path / "traces"), "ns"
-            )
-        # The parent's own namespace setting is restored afterwards.
-        assert rc.read_environment(rc.CACHE_NAMESPACE_VARIABLE) == "parent-ns"
-
 
 class TestActivation:
     """An activated config wins over the environment, scoped."""
@@ -449,27 +447,6 @@ class TestActivation:
             assert rc.active_config() is outer
         assert rc.active_config() is None
 
-    def test_worker_environment_exports_and_restores(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "env"))
-        monkeypatch.delenv(rc.TRACE_ENGINE_VARIABLE, raising=False)
-        config = rc.RuntimeConfig(
-            trace_engine="reference", trace_cache_dir=str(tmp_path / "mine")
-        )
-        with rc.worker_environment(config):
-            assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == str(
-                tmp_path / "mine"
-            )
-            assert rc.read_environment(rc.TRACE_ENGINE_VARIABLE) == "reference"
-        # Fully restored: no leak into later legacy-mode resolution.
-        assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == str(
-            tmp_path / "env"
-        )
-        assert rc.read_environment(rc.TRACE_ENGINE_VARIABLE) is None
-        # A disabled cache dir is exported as an explicit disable, so
-        # workers cannot fall back to an inherited directory.
-        with rc.worker_environment(rc.RuntimeConfig()):
-            assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == "none"
-
     def test_export_environment_default(self, monkeypatch):
         monkeypatch.delenv(rc.PROCESSES_VARIABLE, raising=False)
         rc.export_environment_default(rc.PROCESSES_VARIABLE, "3")
@@ -478,3 +455,218 @@ class TestActivation:
         rc.export_environment_default(rc.PROCESSES_VARIABLE, "9")
         assert rc.read_environment(rc.PROCESSES_VARIABLE) == "3"
         monkeypatch.delenv(rc.PROCESSES_VARIABLE, raising=False)
+
+
+#: A sweep driver run in a fresh interpreter under the ``spawn`` start
+#: method: workers inherit neither the parent's contextvars (no fork)
+#: nor anything it could export, so they see the session's config only
+#: if it is handed to them.  ``probe`` reports what one worker saw; the
+#: ``prime`` run sweeps two workloads so the trace-priming pool stores
+#: their traces, which the parent must then load from disk.
+_SPAWN_SWEEP_SCRIPT = textwrap.dedent(
+    '''
+    import json
+    import multiprocessing
+    import os
+    import sys
+
+    from repro.api import Session
+    from repro.api import runtime_config as rc
+    from repro.workloads import get_workload
+    from repro.workloads.trace_cache import trace_cache_info
+
+
+    def repro_environment():
+        return sorted(
+            [name, value]
+            for name, value in os.environ.items()
+            if name.startswith("REPRO_")
+        )
+
+
+    def probe(item):
+        config = rc.current_config()
+        return {
+            "item": item,
+            "pid": os.getpid(),
+            "trace_engine": config.trace_engine,
+            "trace_cache_dir": rc.current_trace_cache_dir(),
+            "environment": repro_environment(),
+        }
+
+
+    def probe_workload(args):
+        return probe(args[0].name)
+
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        before = repro_environment()
+        runs = {}
+        for executor in ("processes", "queue"):
+            session = Session(
+                trace_engine="reference",
+                cache_namespace="ns",
+                trace_cache_dir=sys.argv[1],
+                parallel=True,
+                processes=2,
+                executor=executor,
+            )
+            runs[executor] = session.map(probe, list(range(4)))
+        # Workload-shaped items make the (queue) session prime first.
+        arguments = [(get_workload(name), 2_000) for name in ("FT", "LU")]
+        runs["prime"] = session.map(probe_workload, arguments)
+        print(json.dumps({
+            "traces": trace_cache_info(),
+            "trace_files": sorted(os.listdir(os.path.join(sys.argv[1], "ns"))),
+            "parent": os.getpid(),
+            "before": before,
+            "after": repro_environment(),
+            "runs": runs,
+        }))
+    '''
+)
+
+
+class TestWorkerConfigHandoff:
+    """Workers get the session's config as an argument, not by inheritance."""
+
+    def test_spawned_workers_see_the_session_config(self, tmp_path):
+        script = tmp_path / "spawn_sweep.py"
+        script.write_text(_SPAWN_SWEEP_SCRIPT)
+        trace_dir = str(tmp_path / "traces")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        env.update(
+            PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]),
+            # Environment values the session overrides: a worker that
+            # fell back to the environment would report these instead.
+            REPRO_TRACE_ENGINE="compiled",
+            REPRO_CACHE_NAMESPACE="parent-ns",
+            REPRO_RESULT_CACHE_DIR="none",
+        )
+        done = subprocess.run(
+            [sys.executable, str(script), trace_dir],
+            env=env,
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=110,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        expected_environment = sorted(
+            [name, value] for name, value in env.items() if name.startswith("REPRO_")
+        )
+        assert report["before"] == expected_environment
+        assert report["after"] == report["before"]
+        assert [row["item"] for row in report["runs"]["prime"]] == ["FT", "LU"]
+        # The priming workers stored both traces under the namespaced
+        # directory; the parent only loaded them.
+        assert report["trace_files"] == ["FT-2000-0.npz", "LU-2000-0.npz"]
+        assert report["traces"]["disk_hits"] == 2
+        assert report["traces"]["disk_stores"] == 0
+        for executor in ("processes", "queue"):
+            assert [row["item"] for row in report["runs"][executor]] == [0, 1, 2, 3]
+        for executor in ("processes", "queue", "prime"):
+            for row in report["runs"][executor]:
+                assert row["pid"] != report["parent"], executor
+                assert row["trace_engine"] == "reference", executor
+                # The namespace is joined exactly once.
+                assert row["trace_cache_dir"] == os.path.join(trace_dir, "ns")
+                assert row["environment"] == report["before"], executor
+
+
+#: Source root of the package, scanned by :class:`TestOneEnvironmentReader`.
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: ``os.environ`` methods that mutate the environment.
+_ENVIRONMENT_WRITE_METHODS = frozenset(
+    {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+)
+
+
+def _is_os_environ(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "environ"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+def _environment_writes(tree) -> list:
+    """``(enclosing top-level name, line)`` of every environment write."""
+    writes = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            if any(
+                isinstance(target, ast.Subscript) and _is_os_environ(target.value)
+                for target in targets
+            ):
+                writes.append((owner, node.lineno))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                function = node.func
+                if (
+                    _is_os_environ(function.value)
+                    and function.attr in _ENVIRONMENT_WRITE_METHODS
+                ) or (
+                    isinstance(function.value, ast.Name)
+                    and function.value.id == "os"
+                    and function.attr in ("putenv", "unsetenv")
+                ):
+                    writes.append((owner, node.lineno))
+    return writes
+
+
+class TestOneEnvironmentReader:
+    """Only ``api/runtime_config.py`` touches the process environment."""
+
+    def test_no_other_module_touches_the_environment(self):
+        pattern = re.compile(
+            r"os\.(environ|getenv|putenv|unsetenv)\b"
+            r"|from\s+os\s+import\s+[^\n]*\b(environ|getenv|putenv|unsetenv)\b"
+        )
+        owner = _PACKAGE_ROOT / "api" / "runtime_config.py"
+        offenders = []
+        for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+            if path == owner:
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if pattern.search(line):
+                    offenders.append(f"{path.relative_to(_PACKAGE_ROOT)}:{number}")
+        assert offenders == []
+
+    def test_runtime_config_writes_only_in_export_environment_default(self):
+        source = (_PACKAGE_ROOT / "api" / "runtime_config.py").read_text()
+        writes = _environment_writes(ast.parse(source))
+        assert writes, "the scan should see export_environment_default's write"
+        assert {owner for owner, _ in writes} == {"export_environment_default"}
+
+    def test_write_scan_catches_every_spelling(self):
+        source = textwrap.dedent(
+            """
+            import os
+            os.environ["A"] = "1"
+            def one():
+                os.environ.update(A="1")
+            def two():
+                del os.environ["A"]
+            def three():
+                os.putenv("A", "1")
+            def four():
+                os.environ.setdefault("A", "1")
+            """
+        )
+        owners = [owner for owner, _ in _environment_writes(ast.parse(source))]
+        assert owners == ["<module>", "one", "two", "three", "four"]
