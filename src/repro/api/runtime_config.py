@@ -57,7 +57,7 @@ PROCESSES_VARIABLE = "REPRO_PROCESSES"
 INSTRUCTIONS_VARIABLE = "REPRO_INSTRUCTIONS"
 
 #: Environment variable selecting the sweep executor (``auto``,
-#: ``serial``, ``processes`` or ``queue``).
+#: ``serial`` or ``queue``).
 EXECUTOR_VARIABLE = "REPRO_EXECUTOR"
 
 #: Environment variable fixing the per-item retry count of supervised
@@ -138,8 +138,9 @@ DEFAULT_INSTRUCTIONS = 150_000
 #: see :mod:`repro.trace.compiler`).
 DEFAULT_TRACE_ENGINE = "compiled"
 
-#: The default sweep executor: ``auto`` resolves to ``processes`` for
-#: parallel sweeps and ``serial`` otherwise (see :mod:`repro.exec`).
+#: The default sweep executor: ``auto`` runs parallel sweeps as a queue
+#: campaign on a private temporary directory and everything else
+#: serially (see :mod:`repro.exec`).
 DEFAULT_EXECUTOR = "auto"
 
 #: Default per-item retry count of supervised sweeps.
@@ -166,6 +167,9 @@ DEFAULT_SERVE_PORT = 8757
 
 #: The recognised trace engines.
 TRACE_ENGINES = ("compiled", "reference")
+
+#: The recognised sweep executors.
+EXECUTORS = ("auto", "serial", "queue")
 
 #: Cache-directory values that disable a disk layer outright
 #: (case-insensitive), shared by the trace cache and the result store.
@@ -293,6 +297,20 @@ def _resolve_engine(value: str, strict: bool = False) -> str:
     return DEFAULT_TRACE_ENGINE
 
 
+def _resolve_executor(value: str, strict: bool = False) -> str:
+    """Normalize an executor spelling (blank means the default).
+
+    Strict for explicit arguments, lenient for environment values,
+    exactly like :func:`_resolve_engine`.
+    """
+    executor = value.strip().lower() or DEFAULT_EXECUTOR
+    if executor in EXECUTORS:
+        return executor
+    if strict:
+        raise ValueError(f"unknown executor {value!r}; expected one of {EXECUTORS}")
+    return DEFAULT_EXECUTOR
+
+
 def _env_bool(name: str, default: bool) -> bool:
     value = read_environment(name)
     if value is None:
@@ -345,8 +363,7 @@ class RuntimeConfig:
     processes: Optional[int] = None
     #: Default dynamic trace length per workload.
     instructions: int = DEFAULT_INSTRUCTIONS
-    #: Sweep executor: ``"auto"`` or a registered name (``"serial"``,
-    #: ``"processes"``, ``"queue"``).
+    #: Sweep executor: ``"auto"``, ``"serial"`` or ``"queue"``.
     executor: str = DEFAULT_EXECUTOR
     #: Per-item retries of supervised sweeps (0 disables retrying).
     retries: int = DEFAULT_RETRIES
@@ -387,8 +404,9 @@ class RuntimeConfig:
             raise ValueError(
                 f"instructions must be positive, got {self.instructions!r}"
             )
-        executor = str(self.executor).strip() or DEFAULT_EXECUTOR
-        object.__setattr__(self, "executor", executor)
+        object.__setattr__(
+            self, "executor", _resolve_executor(str(self.executor), strict=True)
+        )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         timeout = self.item_timeout
@@ -475,9 +493,9 @@ class RuntimeConfig:
         under ``parallel``, where a fully unset trace-cache setting
         defaults to the per-user shared directory, mirroring the legacy
         ``run_sweep(run_parallel=True)`` auto-enable (an explicit
-        disable still wins).  An explicit unknown ``trace_engine``
-        raises; an unknown environment spelling falls back to the
-        default engine.
+        disable still wins).  An explicit unknown ``trace_engine`` or
+        ``executor`` raises; an unknown environment spelling falls back
+        to the default.
         """
         if trace_engine is _UNSET:
             environment_engine = read_environment(TRACE_ENGINE_VARIABLE) or ""
@@ -505,7 +523,7 @@ class RuntimeConfig:
         else:
             resolved_instructions = int(instructions)
         if executor is _UNSET:
-            executor = read_environment(EXECUTOR_VARIABLE) or DEFAULT_EXECUTOR
+            executor = _resolve_executor(read_environment(EXECUTOR_VARIABLE) or "")
         if retries is _UNSET:
             resolved_retries = _env_int(RETRIES_VARIABLE, DEFAULT_RETRIES)
             if resolved_retries is None or resolved_retries < 0:

@@ -16,12 +16,11 @@ default) -- and exposes the pipeline behind typed methods::
 Execution primitives
 --------------------
 :meth:`Session.map` is the sweep engine every experiment driver routes
-through: serial by default, fanned out over the supervised executors of
+through: serial by default, run as a work-queue campaign of
 :mod:`repro.exec` when the session's config (or the caller) says so --
 with per-item retries, timeouts, checkpoint journaling, and structured
-failure reports -- and the shared disk trace cache primed first exactly
-like the historical module-level sweep.  While a session executes, its
-config is *activated*
+failure reports -- and the shared disk trace cache primed first through
+the same executor.  While a session executes, its config is *activated*
 (see :func:`repro.api.runtime_config.activated`) so every layer below
 -- trace engine selection, cache directories, the result store -- sees
 one consistent snapshot instead of re-reading the environment.  Worker
@@ -38,8 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import multiprocessing
-import os
+import dataclasses
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.api import runtime_config as rc
@@ -66,27 +64,6 @@ from repro.workloads.trace_cache import trace_on_disk, workload_trace
 
 #: What a workload argument may be: a catalog name or a spec.
 WorkloadLike = Union[str, WorkloadSpec]
-
-
-def parallel_map(
-    function: Callable,
-    items: Sequence,
-    processes: Optional[int] = None,
-) -> List:
-    """Map ``function`` over ``items`` across worker processes, in order.
-
-    ``function`` must be picklable (a module-level function).  With one
-    item, one worker, or no multiprocessing support, falls back to a
-    plain in-process map.  This is the pool behind every parallel
-    sweep; :func:`repro.experiments.common.parallel_map` re-exports it.
-    """
-    items = list(items)
-    if processes is None:
-        processes = min(len(items), os.cpu_count() or 1)
-    if processes <= 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    with multiprocessing.Pool(processes) as pool:
-        return pool.map(function, items)
 
 
 def _prime_worker(args) -> None:
@@ -130,20 +107,31 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
     return keys
 
 
-def _prime_shared_traces(keys: Sequence, processes: Optional[int]) -> None:
+def _prime_shared_traces(keys: Sequence, executor: Any, settings: Any) -> None:
     """Populate the shared trace cache for a sweep before it starts workers.
 
     ``keys`` are ``(spec, instructions, seed)`` triples.  Traces the
-    disk layer is missing are generated *in parallel* under the current
-    config (each priming worker stores its ``.npz`` atomically), then
-    the parent loads everything into its in-memory cache, so sweep
-    workers find every trace present -- inherited on fork platforms,
-    disk-loaded otherwise -- instead of each regenerating its own.
+    disk layer is missing are generated *in parallel* through the
+    sweep's own ``executor`` under the current config (each priming
+    worker stores its ``.npz`` atomically), then the parent loads
+    everything into its in-memory cache, so sweep workers find every
+    trace present -- inherited on fork platforms, disk-loaded otherwise
+    -- instead of each regenerating its own.  Priming is best effort: a
+    trace whose priming item failed (its worker died past the retry
+    budget, say) is generated by the parent's load below.  The sweep's
+    fault plan addresses sweep items only, so priming runs without it.
     """
+    from repro.exec.executors import execute_items
+
     missing = [key for key in keys if not trace_on_disk(*key)]
     if len(missing) > 1:
         config = rc.current_config()
-        parallel_map(_prime_worker, [(config, *key) for key in missing], processes)
+        execute_items(
+            _prime_worker,
+            [(config, *key) for key in missing],
+            dataclasses.replace(settings, fault_plan=None),
+            executor,
+        )
     for spec, instructions, seed in keys:
         workload_trace(spec, instructions, seed=seed)
 
@@ -436,13 +424,15 @@ class Session:
 
         The execution policy comes from the session's config unless the
         caller overrides it: the ``executor`` knob selects the engine
-        (``"auto"``: the supervised process pool when parallel, serial
-        in-process otherwise), with per-item retries, timeouts, and
-        fault injection from the config.  A parallel sweep on a session
+        (``"auto"``: a queue campaign on a private temporary directory
+        when parallel, serial in-process otherwise; ``"queue"``: a
+        campaign on the configured ``queue_dir``, where external
+        workers may join), with per-item retries, timeouts, and fault
+        injection from the config.  A parallel sweep on a session
         without any trace-cache setting defaults the per-user shared
-        directory.  Before a process executor spawns workers, the
-        shared disk trace cache is primed; the workers are handed the
-        effective config and activate it.
+        directory.  Before a queue campaign spawns workers, the shared
+        disk trace cache is primed through the same executor; the
+        workers are handed the effective config and activate it.
 
         ``prime`` names the traces to pre-generate as ``(spec,
         instructions, seed)`` triples; when omitted they are inferred
@@ -459,9 +449,6 @@ class Session:
         config = self.config
         use_parallel = config.parallel if parallel is None else bool(parallel)
         worker_count = config.processes if processes is None else processes
-        executor_name = config.executor
-        if executor_name == "auto":
-            executor_name = "processes" if use_parallel else "serial"
         if (
             use_parallel
             and config.trace_cache_dir is None
@@ -478,11 +465,13 @@ class Session:
             item_timeout=config.item_timeout,
             retry_delay=config.retry_delay,
             fault_plan=FaultPlan.from_spec(config.fault_plan),
-            queue_dir=config.queue_dir,
+            # Only an explicit queue executor joins a shared queue; a
+            # parallel "auto" sweep stays a private campaign.
+            queue_dir=config.queue_dir if config.executor == "queue" else None,
             lease_ttl=config.lease_ttl,
             heartbeat_interval=config.heartbeat_interval,
         )
-        executor = exec_executors.resolve_executor(executor_name)
+        executor = exec_executors.resolve_executor(config.executor, use_parallel)
         # The session stays current_session() while the layers below
         # (and the workers, which are handed it) see the effective config.
         with self.activate(), rc.activated(config):
@@ -495,7 +484,7 @@ class Session:
             if executor.name != "serial" and config.trace_cache_dir is not None:
                 if prime is None:
                     prime = _default_prime_keys(arguments)
-                _prime_shared_traces(prime, worker_count)
+                _prime_shared_traces(prime, executor, settings)
             return exec_executors.execute_items(
                 worker, arguments, settings, executor, journal
             )
@@ -530,21 +519,24 @@ class Session:
         parallel: Optional[bool] = None,
         processes: Optional[int] = None,
     ) -> "List[tuple]":
-        """Sweep a per-workload worker suite by suite.
+        """Sweep a per-workload worker over whole suites.
 
         Returns ``[(suite, specs, rows), ...]`` in figure order -- the
         per-suite loop glue shared by the Section III/IV drivers, so
-        each experiment keeps only its own aggregation.
+        each experiment keeps only its own aggregation.  Every suite's
+        workloads run as one :meth:`map`, so a parallel sweep pays for
+        one campaign, not one per suite.
         """
         from repro.workloads.suites import SUITE_ORDER
 
-        results = []
-        for suite in suites or SUITE_ORDER:
-            specs = self.workloads(suites=[suite])
-            arguments = [(spec, *extra_args) for spec in specs]
-            rows = self.map(worker, arguments, parallel, processes)
-            results.append((suite, specs, rows))
-        return results
+        groups = [
+            (suite, self.workloads(suites=[suite])) for suite in suites or SUITE_ORDER
+        ]
+        arguments = [(spec, *extra_args) for _, specs in groups for spec in specs]
+        rows = iter(self.map(worker, arguments, parallel, processes))
+        return [
+            (suite, specs, [next(rows) for _ in specs]) for suite, specs in groups
+        ]
 
 
 #: The innermost session activated via :meth:`Session.activate` -- a

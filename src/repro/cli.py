@@ -35,6 +35,7 @@ from repro.experiments import DEFAULT_EXPERIMENT_INSTRUCTIONS
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.api.runtime_config import EXECUTORS
     from repro.results.orchestrator import registry_names
 
     parser = argparse.ArgumentParser(
@@ -90,10 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        type=str,
+        choices=EXECUTORS,
         default=None,
-        help="sweep executor: 'auto' (default), 'serial', 'processes', "
-        "or 'queue' (durable work queue) (REPRO_EXECUTOR)",
+        help="sweep executor: 'auto' (default: a private queue campaign "
+        "with --parallel, serial otherwise), 'serial', or 'queue' (the "
+        "durable work queue on --queue-dir) (REPRO_EXECUTOR)",
     )
     parser.add_argument(
         "--queue-dir",

@@ -3,11 +3,15 @@
 Everything that turns a sweep from "a bare ``Pool.map`` that dies with
 its weakest worker" into supervised, resumable, testable execution:
 
-:class:`SerialExecutor` / :class:`SupervisedProcessExecutor`
-    Per-item dispatch with typed outcomes, retries with backoff,
-    worker replacement, per-item timeouts, and graceful serial
-    degradation.  Selected by ``RuntimeConfig.executor`` (``"serial"``
-    or ``"processes"``).
+:class:`SerialExecutor` / :class:`QueueExecutor`
+    The two executors, selected by ``RuntimeConfig.executor``:
+    ``"serial"`` runs items in-process; ``"queue"`` runs them as a
+    durable work-queue campaign; ``"auto"`` (the default) is the queue
+    on a private temporary directory for parallel sweeps and serial
+    otherwise.  Both give typed per-item outcomes and retries with
+    backoff; the queue supervisor also replaces crashed workers, kills
+    hung items at the per-item timeout, and degrades to in-process
+    draining when no worker can be spawned.
 :class:`ItemResult` / :class:`SweepReport` / :class:`SweepError`
     Every item finishes as a typed outcome; failed sweeps raise a
     structured failure report carrying the partial results.
@@ -19,12 +23,12 @@ its weakest worker" into supervised, resumable, testable execution:
     hangs, cache truncation, stale leases, double claims) at exact
     item indices, so every robustness claim above is asserted by tests
     rather than trusted.
-:class:`QueueExecutor`
-    The durable filesystem work queue (``executor = "queue"``): items
-    claimed via heartbeat leases by any number of cooperating worker
-    processes -- local or started on other machines with
-    ``repro-frontend worker`` -- with stale-lease reclaim,
-    first-writer-wins completion, and poison-item quarantine.
+:class:`QueueWorker` / :func:`serve_queue`
+    The worker side of the queue: items claimed via heartbeat leases by
+    any number of cooperating worker processes -- spawned by the
+    supervisor or started on other machines with ``repro-frontend
+    worker`` against a shared ``queue_dir`` -- with stale-lease
+    reclaim, first-writer-wins completion, and poison-item quarantine.
 """
 
 from repro.exec.executors import (
@@ -32,10 +36,7 @@ from repro.exec.executors import (
     ExecutionSettingsError,
     Executor,
     SerialExecutor,
-    SupervisedProcessExecutor,
     execute_items,
-    executor_names,
-    register_executor,
     resolve_executor,
 )
 from repro.exec.faults import (
@@ -81,14 +82,12 @@ __all__ = [
     "QueueWorker",
     "SerialExecutor",
     "SimulatedWorkerDeath",
-    "SupervisedProcessExecutor",
     "SweepError",
     "SweepJournal",
     "SweepReport",
     "active_journal_scope",
     "enqueue_campaign",
     "execute_items",
-    "executor_names",
     "item_key",
     "journal_for_scope",
     "journal_info",
@@ -96,7 +95,6 @@ __all__ = [
     "open_campaign",
     "quarantine_entry",
     "queue_info",
-    "register_executor",
     "resolve_executor",
     "serve_queue",
 ]

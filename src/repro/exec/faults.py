@@ -6,9 +6,9 @@ states *precisely* which item dies, raises, hangs, or has a cache file
 truncated underneath it -- no probabilities, no flakiness.  Plans are
 activated through :class:`~repro.api.runtime_config.RuntimeConfig`
 (``fault_plan=...`` / ``REPRO_FAULT_PLAN``) as either an inline JSON
-document or a path to one, and the supervised executors hand the
-serialized plan to every worker process at spawn, so injection works
-identically on fork and spawn platforms.
+document or a path to one, and the queue executor writes the
+serialized plan into its campaign manifest, which every worker reads,
+so injection works identically on fork and spawn platforms.
 
 Fault kinds:
 

@@ -47,9 +47,11 @@ import hashlib
 import importlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import shutil
+import socket
 import tempfile
 import threading
 import time
@@ -63,7 +65,7 @@ from repro.exec.executors import (
     Executor,
     RunOutcome,
     _notify,
-    register_executor,
+    backoff_delay,
 )
 from repro.exec.faults import (
     QUEUE_FAULT_KINDS,
@@ -77,12 +79,14 @@ from repro.exec.results import (
     STATUS_OK,
     STATUS_POISON,
     STATUS_REPLAYED,
+    STATUS_TIMEOUT,
     ItemResult,
     describe_exception,
 )
 
-#: How often the supervisor and idle workers rescan the queue.
-QUEUE_POLL = 0.05
+#: How often idle workers rescan the queue, and the longest the
+#: supervisor waits between collections when no worker exits.
+QUEUE_POLL = 0.01
 
 #: Campaign directory name prefix (content-addressed suffix).
 CAMPAIGN_PREFIX = "campaign-"
@@ -194,6 +198,14 @@ def _item_logical(name: str) -> str:
 
 def _item_index(name: str) -> int:
     return int(_item_logical(name).split("-", 1)[0])
+
+
+def _entries(directory: str) -> set:
+    """The names in a directory (empty when it is unreadable)."""
+    try:
+        return set(os.listdir(directory))
+    except OSError:
+        return set()
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -783,24 +795,28 @@ class QueueWorker:
             leases.release(lease_path, self.owner)
             return self._maybe_poison(name)
         except Exception as failure:
-            heartbeat.stop()
             _record_death(
                 campaign, name, "error", describe_exception(failure)[:200]
             )
             ledger = _death_ledger(campaign, name)
-            if _ledger_counts(ledger)["error"] > campaign.settings.retries:
-                payload = {
-                    "index": index,
-                    "status": STATUS_ERROR,
-                    "value": None,
-                    "error": describe_exception(failure),
-                    "attempts": attempt,
-                }
-                self._resolve(name, payload)
-                _count("errors")
-                return True
-            leases.release(lease_path, self.owner)
-            return False
+            if _ledger_counts(ledger)["error"] <= campaign.settings.retries:
+                # Back off while still heartbeating the lease, then hand
+                # the item back for a retry.
+                time.sleep(backoff_delay(campaign.settings, index, attempt))
+                heartbeat.stop()
+                leases.release(lease_path, self.owner)
+                return False
+            heartbeat.stop()
+            payload = {
+                "index": index,
+                "status": STATUS_ERROR,
+                "value": None,
+                "error": describe_exception(failure),
+                "attempts": attempt,
+            }
+            self._resolve(name, payload)
+            _count("errors")
+            return True
         heartbeat.stop()
         self._resolve(name, payload)
         return True
@@ -919,7 +935,7 @@ class QueueWorker:
         return reclaimed
 
 
-def _spawned_worker_main(worker, config, root: str, parent_pid: int) -> None:
+def _serve_spawned_campaign(worker, config, root: str, parent_pid: int) -> None:
     """Entry point of a supervisor-spawned local queue worker.
 
     Runs under ``config``, the supervisor's active config handed over
@@ -933,14 +949,91 @@ def _spawned_worker_main(worker, config, root: str, parent_pid: int) -> None:
         QueueWorker(campaign, allow_exit=True, parent_pid=parent_pid).drain()
 
 
+def _spawn_worker(ctx, campaign: Campaign, config) -> Any:
+    """Start one local worker on a campaign (module-level so tests can
+    break the pool)."""
+    process = ctx.Process(
+        target=_serve_spawned_campaign,
+        args=(campaign.worker, config, campaign.root, os.getpid()),
+        daemon=True,
+    )
+    process.start()
+    return process
+
+
+class _Watchdog:
+    """Per-item timeouts for the supervisor's own workers.
+
+    Times every lease it sees on the supervisor's monotonic clock, from
+    the first scan that shows it.  A lease held past the timeout by a
+    spawned worker gets a ``timeout`` result published (first writer
+    wins, so a result that beat it stands), and the worker is killed.
+    Leases of external workers are never timed: their processes are
+    not ours to kill.
+    """
+
+    def __init__(self, campaign: Campaign, timeout: float) -> None:
+        self.campaign = campaign
+        self.timeout = timeout
+        self._host = socket.gethostname()
+        #: ``(item name, lease owner)`` -> monotonic time first seen.
+        self._first_seen: Dict[Tuple[str, str], float] = {}
+
+    def expire(self, workers: Sequence[Any]) -> None:
+        campaign = self.campaign
+        by_pid = {process.pid: process for process in workers}
+        try:
+            entries = os.listdir(campaign.leases_dir)
+        except OSError:
+            return
+        now = time.monotonic()
+        first_seen = {}
+        for entry in entries:
+            if not entry.endswith(LEASE_SUFFIX):
+                continue
+            name = entry[: -len(LEASE_SUFFIX)]
+            lease = leases.read_lease(campaign.lease_path(name))
+            owner = str((lease or {}).get("owner", ""))
+            if leases.owner_host(owner) != self._host:
+                continue
+            process = by_pid.get(leases.owner_pid(owner))
+            if process is None:
+                continue
+            key = (name, owner)
+            first_seen[key] = self._first_seen.get(key, now)
+            if now - first_seen[key] <= self.timeout:
+                continue
+            payload = {
+                "index": _item_index(name),
+                "status": STATUS_TIMEOUT,
+                "value": None,
+                "error": (
+                    f"item exceeded the per-item timeout of {self.timeout}s "
+                    f"and its worker was killed"
+                ),
+                "attempts": len(_death_ledger(campaign, name)) + 1,
+            }
+            publish_result(campaign, name, payload)
+            process.kill()
+            process.join(timeout=1.0)
+            try:
+                os.unlink(campaign.item_path(name))
+            except OSError:
+                pass
+        self._first_seen = first_seen
+
+
 class QueueExecutor(Executor):
     """Durable work-queue execution behind the standard executor seam.
 
-    The supervisor enqueues the campaign, spawns local queue workers
-    (any external ``repro-frontend worker`` processes pointed at the
-    same queue directory simply join in), collects published results,
-    reaps stale leases, and -- like the process executor -- degrades to
-    in-process draining when no worker can be spawned at all.
+    The supervisor enqueues the campaign -- on ``settings.queue_dir``
+    when one is given, else on a private temporary directory removed
+    afterwards -- spawns local queue workers (any external
+    ``repro-frontend worker`` processes pointed at the same queue
+    directory simply join in), collects published results, reaps stale
+    leases, replaces crashed workers, kills its own workers' items at
+    the per-item timeout, and degrades to in-process draining when no
+    worker can be spawned at all.
     """
 
     name = "queue"
@@ -949,7 +1042,7 @@ class QueueExecutor(Executor):
         items = list(items)
         if not items:
             return RunOutcome([], False)
-        queue_dir = settings.queue_dir or runtime_config.current_queue_dir()
+        queue_dir = settings.queue_dir
         ephemeral = queue_dir is None
         if ephemeral:
             queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
@@ -1004,38 +1097,49 @@ class QueueExecutor(Executor):
 
         def spawn() -> bool:
             try:
-                process = ctx.Process(
-                    target=_spawned_worker_main,
-                    args=(campaign.worker, config, campaign.root, os.getpid()),
-                    daemon=True,
-                )
-                process.start()
+                workers.append(_spawn_worker(ctx, campaign, config))
             except Exception:
                 return False
-            workers.append(process)
             return True
 
         supervisor = QueueWorker(campaign, allow_exit=False)
+        watchdog = (
+            _Watchdog(campaign, settings.item_timeout)
+            if settings.item_timeout is not None
+            else None
+        )
         degraded = False
         for _ in range(count):
             spawn()
         try:
             while True:
-                fresh = self._collect(campaign, unresolved, name_of, results)
-                for result in fresh:
+                for result in self._collect(campaign, unresolved, name_of, results):
                     _notify(on_result, result)
                 if not any(index not in results for index in unresolved):
                     break
-                supervisor.reap()
-                self._heal_missing_items(
-                    campaign, unresolved, args_of, name_of, results
-                )
-                workers[:] = [process for process in workers if process.is_alive()]
+                # A worker that exited cleanly found nothing left to
+                # claim; one that crashed (or was killed) is replaced.
+                exited = [process for process in workers if not process.is_alive()]
+                workers[:] = [process for process in workers if process not in exited]
+                for process in exited:
+                    if process.exitcode:
+                        spawn()
                 if not workers and not spawn():
                     # No worker alive and none spawnable: drain what is
                     # left in-process so the sweep still completes.
                     degraded = True
                     supervisor.drain()
+                    continue
+                supervisor.reap()
+                if watchdog is not None:
+                    watchdog.expire(workers)
+                self._heal_missing_items(
+                    campaign, unresolved, args_of, name_of, results
+                )
+                # Sleep until a worker exits or the poll interval ends.
+                multiprocessing.connection.wait(
+                    [process.sentinel for process in workers], timeout=QUEUE_POLL
+                )
             return degraded
         finally:
             deadline = time.monotonic() + 5.0
@@ -1046,9 +1150,11 @@ class QueueExecutor(Executor):
                     process.join(timeout=1.0)
 
     def _collect(self, campaign, unresolved, name_of, results) -> List[ItemResult]:
+        # One listing per poll instead of one open per unresolved item.
+        published = _entries(campaign.done_dir)
         fresh = []
         for index in unresolved:
-            if index in results:
+            if index in results or name_of[index] + RESULT_SUFFIX not in published:
                 continue
             payload = load_published(campaign, name_of[index])
             if payload is None:
@@ -1062,8 +1168,6 @@ class QueueExecutor(Executor):
             )
             results[index] = result
             fresh.append(result)
-        if not fresh:
-            time.sleep(QUEUE_POLL)
         return fresh
 
     def _heal_missing_items(
@@ -1075,12 +1179,15 @@ class QueueExecutor(Executor):
         (corrupt) file -- but an invariant violation must heal, not
         hang the campaign.
         """
+        # Items before results: a worker publishes before it unlinks.
+        present = _entries(campaign.items_dir)
+        present |= _entries(campaign.done_dir)
         for index in unresolved:
-            if index in results:
-                continue
             name = name_of[index]
-            if os.path.exists(campaign.item_path(name)) or os.path.exists(
-                campaign.result_path(name)
+            if (
+                index in results
+                or name + ITEM_SUFFIX in present
+                or name + RESULT_SUFFIX in present
             ):
                 continue
             try:
@@ -1164,7 +1271,6 @@ def _register() -> None:
     from repro.workloads.trace_cache import register_stats_provider
 
     register_stats_provider("queue", queue_info)
-    register_executor("queue", QueueExecutor)
 
 
 _register()

@@ -24,7 +24,8 @@ STATUS_REPLAYED = "replayed"
 STATUS_ERROR = "error"
 #: Item exceeded the per-item timeout and its worker was killed.
 STATUS_TIMEOUT = "timeout"
-#: The worker process died (crash, ``os._exit``, external kill).
+#: The worker died past the retry budget (serial execution's simulated
+#: kill; the queue reports such an item as ``poison``).
 STATUS_WORKER_DEATH = "worker-death"
 #: The item killed its worker (or leaked its lease) too many times and
 #: was quarantined as a poison item; ``error`` holds the typed report.
@@ -95,10 +96,9 @@ class SweepError(RuntimeError):
 class SweepReport:
     """Outcome of one supervised sweep, item by item.
 
-    ``items`` are in argument order.  ``degraded`` is set when the
-    process pool itself broke (e.g. fork unavailable or every worker
-    unspawnable) and the remaining items were finished serially
-    in-process.
+    ``items`` are in argument order.  ``degraded`` is set when no
+    queue worker could be spawned (e.g. fork unavailable) and the
+    remaining items were finished serially in-process.
     """
 
     items: List[ItemResult] = field(default_factory=list)

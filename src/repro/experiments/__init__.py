@@ -16,7 +16,6 @@ from repro.experiments.common import (
     clear_trace_cache,
     default_workload_names,
     normalize_to_reference,
-    parallel_map,
     render_blocks,
     suite_workloads,
     trace_cache_info,
@@ -64,7 +63,6 @@ __all__ = [
     "clear_trace_cache",
     "trace_cache_info",
     "normalize_to_reference",
-    "parallel_map",
     "render_blocks",
     "run_fig01",
     "tables_fig01",

@@ -62,7 +62,6 @@ __all__ = [
     "format_table",
     "mean",
     "normalize_to_reference",
-    "parallel_map",
     "render_blocks",
     "sections_for",
     "suite_label_map",
@@ -123,22 +122,6 @@ def experiment_instructions(instructions: Optional[int]) -> int:
 
 #: The sections reported by the per-suite figures, in bar order.
 SECTION_ORDER = (CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL)
-
-
-def parallel_map(
-    function: Callable,
-    items: Sequence,
-    processes: Optional[int] = None,
-) -> List:
-    """Map ``function`` over worker processes.
-
-    The pool lives in :mod:`repro.api.session`
-    (:func:`repro.api.session.parallel_map`); this thin wrapper keeps
-    the import path the experiment drivers share.
-    """
-    from repro.api.session import parallel_map as session_parallel_map
-
-    return session_parallel_map(function, items, processes)
 
 
 def suite_workloads(

@@ -20,8 +20,8 @@ chunk) pair is one unit of work:
   processes and machines sharing the store.
 * Missing chunks run through :meth:`repro.api.session.Session.map`
   under a plan-scoped checkpoint journal, so they inherit the
-  supervised executors (``--parallel`` pools, the durable ``queue``
-  executor for fleet-scale grids) and mid-sweep kill/resume.
+  sweep executors (``--parallel`` queue campaigns, a shared ``queue``
+  directory for fleet-scale grids) and mid-sweep kill/resume.
 * Every front-end chunk runs through the batched
   :func:`repro.frontend.simulation.simulate_frontend_many` engine,
   whose component-result table lives on the cached trace: each

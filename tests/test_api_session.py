@@ -399,6 +399,145 @@ class TestSessionPipeline:
         assert serial.rows() == parallel.rows()
 
 
+def _spec_name(args):
+    spec, instructions = args
+    return (spec.name, instructions)
+
+
+def _fails_on_two(args):
+    if args == 2:
+        raise RuntimeError("item two always fails")
+    return args
+
+
+#: Runs a parallel sweep whose trace-priming worker for FT dies hard,
+#: once (argv[2] == "once") or on every attempt ("always"), and prints
+#: the sweep's rows with the parent's trace-cache counters.
+_DYING_PRIME_SCRIPT = """
+import json, os, sys
+
+import repro.api.session as session_module
+from repro.api import Session
+from repro.workloads import get_workload
+from repro.workloads.trace_cache import trace_cache_info, workload_trace
+
+real_prime_worker = session_module._prime_worker
+
+def dying_prime_worker(args):
+    config, spec = args[0], args[1]
+    if spec.name == "FT":
+        os.makedirs(config.trace_cache_dir, exist_ok=True)
+        marker = os.path.join(config.trace_cache_dir, "died")
+        if sys.argv[2] == "always" or not os.path.exists(marker):
+            open(marker, "a").close()
+            os._exit(86)
+    real_prime_worker(args)
+
+def rows(args):
+    spec, instructions = args
+    return [spec.name, int(workload_trace(spec, instructions).block_ids.shape[0])]
+
+session_module._prime_worker = dying_prime_worker
+session = Session(
+    parallel=True, processes=2, trace_cache_dir=sys.argv[1], retry_delay=0.001
+)
+arguments = [(get_workload(name), 2_000) for name in ("FT", "LU")]
+print(json.dumps({"rows": session.map(rows, arguments), "traces": trace_cache_info()}))
+"""
+
+
+class TestParallelSweepExecution:
+    def test_suite_sweep_issues_one_map_with_per_suite_rows(self, monkeypatch):
+        from repro.workloads.suites import SUITE_ORDER
+
+        session = Session(instructions=INSTRUCTIONS)
+        expected = [
+            (suite, specs, session.map(_spec_name, [(s, 7) for s in specs]))
+            for suite, specs in (
+                (suite, session.workloads(suites=[suite])) for suite in SUITE_ORDER
+            )
+        ]
+        calls = []
+        original = Session.map
+
+        def counting_map(self, worker, arguments, *args, **kwargs):
+            calls.append(len(arguments))
+            return original(self, worker, arguments, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "map", counting_map)
+        assert session.suite_sweep(_spec_name, extra_args=(7,)) == expected
+        assert calls == [sum(len(specs) for _, specs, _ in expected)]
+        # A suite subset keeps the caller's suite order.
+        subset = [SUITE_ORDER[2], SUITE_ORDER[0]]
+        picked = session.suite_sweep(_spec_name, extra_args=(7,), suites=subset)
+        assert [entry[0] for entry in picked] == subset
+        assert picked[1] == expected[0]
+
+    def test_auto_parallel_never_writes_into_a_configured_queue_dir(self, tmp_path):
+        import os
+
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        common = dict(
+            parallel=True,
+            processes=2,
+            trace_cache_dir=None,
+            retries=0,
+            queue_dir=str(queue_dir),
+        )
+        # A failed campaign would stay behind as evidence in a shared
+        # queue; the private one of an "auto" sweep leaves nothing.
+        report = Session(**common).map_report(_fails_on_two, [0, 1, 2, 3])
+        assert report.executor == "queue"
+        assert [item.ok for item in report.items] == [True, True, False, True]
+        assert os.listdir(queue_dir) == []
+        # Only an explicit queue executor joins the shared queue.
+        Session(executor="queue", **common).map_report(_fails_on_two, [0, 1, 2, 3])
+        assert [name for name in os.listdir(queue_dir) if name.startswith("campaign-")]
+
+    @pytest.mark.parametrize("deaths", ["once", "always"])
+    def test_killed_priming_worker_is_retried_or_reported_not_hung(
+        self, tmp_path, deaths
+    ):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        script = tmp_path / "dying_prime.py"
+        script.write_text(_DYING_PRIME_SCRIPT)
+        trace_dir = tmp_path / "traces"
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        env["TMPDIR"] = str(tmp_path)
+        # A priming pool that wedges on a dead worker times out here.
+        done = subprocess.run(
+            [sys.executable, str(script), str(trace_dir), deaths],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert [row[0] for row in report["rows"]] == ["FT", "LU"]
+        assert (trace_dir / "died").exists()
+        traces = sorted(name for name in os.listdir(trace_dir) if name.endswith(".npz"))
+        assert traces == ["FT-2000-0.npz", "LU-2000-0.npz"]
+        if deaths == "once":
+            # The retried priming item stored FT: the parent only loaded.
+            assert report["traces"]["disk_stores"] == 0
+        else:
+            # FT's priming item was poisoned; the parent generated it.
+            assert report["traces"]["disk_stores"] == 1
+
+
 class TestCliSession:
     def test_cli_honours_runtime_environment_variables(self, monkeypatch):
         """Omitted CLI flags fall through to REPRO_* (flags > env > default)."""

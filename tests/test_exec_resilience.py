@@ -1,12 +1,13 @@
 """Fault tolerance of the execution layer, end to end.
 
-Covers the supervised executors (retry, worker death, hang/timeout,
-serial degradation), the checkpoint journal (record/replay, corrupt-
-entry quarantine, concurrent writers, kill-and-resume through a real
-SIGKILL), deterministic fault injection, the trace-cache quarantine
-path, and the deprecation schedule of the legacy module-level entry
-points.  Everything is deterministic: faults are pinned to exact
-``(item, attempt)`` sites, never to timing.
+Covers the serial and queue executors (retry, worker death,
+hang/timeout, serial degradation), the checkpoint journal
+(record/replay, corrupt-entry quarantine, concurrent writers,
+kill-and-resume through a real SIGKILL), deterministic fault
+injection, the trace-cache quarantine path, and the deprecation
+schedule of the legacy module-level entry points.  Everything is
+deterministic: faults are pinned to exact ``(item, attempt)`` sites,
+never to timing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.exec import (
     execute_items,
     resolve_executor,
 )
-from repro.exec import executors as executors_module
+from repro.exec import queue as queue_module
 from repro.exec.journal import (
     SweepJournal,
     item_key,
@@ -40,9 +41,9 @@ from repro.exec.journal import (
 )
 from repro.exec.results import (
     STATUS_OK,
+    STATUS_POISON,
     STATUS_REPLAYED,
     STATUS_TIMEOUT,
-    STATUS_WORKER_DEATH,
 )
 
 #: A short, cheap worker sweep shared by most tests.
@@ -71,7 +72,7 @@ def run_with(executor_name, worker, items=ITEMS, **overrides):
 
 
 class TestRetries:
-    @pytest.mark.parametrize("executor_name", ["serial", "processes"])
+    @pytest.mark.parametrize("executor_name", ["serial", "queue"])
     def test_transient_exception_succeeds_after_retry(self, executor_name):
         plan = FaultPlan.of(Fault(kind="raise", index=2, attempt=1))
         report = run_with(
@@ -82,7 +83,7 @@ class TestRetries:
         # The faulted item took exactly one extra attempt; the rest one.
         assert [item.attempts for item in report.items] == [1, 1, 2, 1]
 
-    @pytest.mark.parametrize("executor_name", ["serial", "processes"])
+    @pytest.mark.parametrize("executor_name", ["serial", "queue"])
     def test_permanent_failure_yields_structured_report(self, executor_name):
         plan = FaultPlan.of(
             *[Fault(kind="raise", index=1, attempt=attempt) for attempt in (1, 2, 3)]
@@ -113,7 +114,7 @@ class TestRetries:
 
 
 class TestWorkerDeath:
-    @pytest.mark.parametrize("executor_name", ["serial", "processes"])
+    @pytest.mark.parametrize("executor_name", ["serial", "queue"])
     def test_killed_worker_is_replaced_and_item_retried(self, executor_name):
         plan = FaultPlan.of(Fault(kind="kill", index=1, attempt=1))
         report = run_with(
@@ -122,13 +123,13 @@ class TestWorkerDeath:
         assert report.values() == [0, 1, 4, 9]
         assert report.items[1].attempts == 2
 
-    def test_unkillable_item_fails_as_worker_death(self):
+    def test_unkillable_item_is_poisoned(self):
         plan = FaultPlan.of(
             *[Fault(kind="kill", index=1, attempt=attempt) for attempt in (1, 2)]
         )
-        report = run_with("processes", _square, retries=1, fault_plan=plan, processes=2)
+        report = run_with("queue", _square, retries=1, fault_plan=plan, processes=2)
         (failure,) = report.failures()
-        assert failure.status == STATUS_WORKER_DEATH
+        assert failure.status == STATUS_POISON
         assert failure.attempts == 2
         assert report.partial_values() == {0: 0, 2: 4, 3: 9}
 
@@ -137,7 +138,7 @@ class TestTimeout:
     def test_hung_item_is_killed_and_reported_as_timeout(self):
         plan = FaultPlan.of(Fault(kind="hang", index=2, attempt=1, seconds=30.0))
         report = run_with(
-            "processes",
+            "queue",
             _square,
             fault_plan=plan,
             item_timeout=0.3,
@@ -155,16 +156,16 @@ class TestTimeout:
 
 class TestSerialDegradation:
     def test_broken_pool_degrades_to_serial_bit_identically(self, monkeypatch):
-        def refuse(ctx, worker, plan_json):
+        def refuse(ctx, campaign, config):
             raise OSError("no processes for you")
 
         serial = run_with("serial", _square)
-        monkeypatch.setattr(executors_module, "_start_worker", refuse)
-        degraded = run_with("processes", _square, processes=2)
+        monkeypatch.setattr(queue_module, "_spawn_worker", refuse)
+        degraded = run_with("queue", _square, processes=2)
         assert degraded.degraded is True
         assert degraded.values() == serial.values()
 
-    @pytest.mark.parametrize("executor_name", ["serial", "processes"])
+    @pytest.mark.parametrize("executor_name", ["serial", "queue"])
     def test_serial_and_process_executors_are_bit_identical(self, executor_name):
         report = run_with(executor_name, _square, processes=2)
         assert report.degraded is False
@@ -260,15 +261,29 @@ class TestKillAndResume:
 
     CHILD = textwrap.dedent(
         """
-        import json, os, signal, sys
+        import json, os, signal, sys, time
 
         from repro.exec import ExecutionSettings, execute_items, resolve_executor
         from repro.exec.journal import journal_for_scope
 
+        JOURNAL = os.path.join(
+            os.environ["REPRO_RESULT_CACHE_DIR"], "journals", "f" * 32
+        )
+
+        def journaled():
+            try:
+                return [n for n in os.listdir(JOURNAL) if n.endswith(".item")]
+            except OSError:
+                return []
+
         def worker(args):
             if args == 3 and os.environ.get("CHAOS_KILL"):
-                # Hard-kill the supervising process mid-sweep: the
-                # deterministic stand-in for a crashed campaign.
+                # Once the supervisor has collected and journaled items
+                # 0..2, hard-kill it mid-sweep: the deterministic
+                # stand-in for a crashed campaign.
+                deadline = time.monotonic() + 60
+                while len(journaled()) < 3 and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 os.kill(os.getppid(), signal.SIGKILL)
             return args * args
 
@@ -277,7 +292,7 @@ class TestKillAndResume:
             worker,
             list(range(6)),
             settings,
-            resolve_executor("processes"),
+            resolve_executor("auto", parallel=True),
             journal_for_scope("f" * 64),
         )
         json.dump(
@@ -293,6 +308,9 @@ class TestKillAndResume:
     def _run_child(self, store_dir, chaos_kill):
         env = dict(os.environ)
         env["REPRO_RESULT_CACHE_DIR"] = str(store_dir)
+        # The private campaign directory a SIGKILL leaves behind lands
+        # under the test's own temporary directory.
+        env["TMPDIR"] = str(store_dir.parent)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         if chaos_kill:
@@ -315,7 +333,7 @@ class TestKillAndResume:
         assert killed.returncode == -signal.SIGKILL
         # One worker process means in-order dispatch: items 0..2 were
         # checkpointed incrementally before item 3 took the supervisor
-        # down -- the kill loses only the in-flight item.
+        # down -- the kill loses only the uncollected items.
         journal = SweepJournal(str(store_dir / "journals" / ("f" * 32)))
         assert len(journal.load()) == 3
         resumed_child = self._run_child(store_dir, chaos_kill=False)
@@ -342,9 +360,16 @@ class TestKillAndResume:
 
 
 class TestExecutorResolution:
-    def test_unknown_executor_is_rejected(self):
+    @pytest.mark.parametrize("name", ["warp-drive", "processes"])
+    def test_unknown_executor_is_rejected(self, name):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("warp-drive")
+            resolve_executor(name)
+
+    def test_auto_is_a_queue_campaign_when_parallel(self):
+        assert resolve_executor("auto").name == "serial"
+        assert resolve_executor("auto", parallel=True).name == "queue"
+        assert resolve_executor("serial", parallel=True).name == "serial"
+        assert resolve_executor("queue").name == "queue"
 
 
 class TestFaultPlans:

@@ -147,3 +147,10 @@ class TestCli:
             cli_main(["fig5", "--instructions", budget])
         assert exit_info.value.code == 2
         assert "--instructions must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("executor", ["bogus", "processes"])
+    def test_unknown_executor_is_a_usage_error(self, executor, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fig5", "--executor", executor])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -26,12 +26,14 @@ from repro.exec import leases
 from repro.exec.executors import (
     ExecutionSettings,
     ExecutionSettingsError,
+    backoff_delay,
     resolve_executor,
 )
 from repro.exec.faults import Fault, FaultPlan
 from repro.exec.queue import (
     CAMPAIGN_PREFIX,
     QueueWorker,
+    _Watchdog,
     enqueue_campaign,
     load_published,
     publish_result,
@@ -282,6 +284,31 @@ class TestQueueWorkerInProcess:
         assert queue_info()["reclaims"] >= 1
         assert leases.lease_info()["reclaimed"] >= 1
         assert load_published(campaign, campaign.names[0])["attempts"] == 2
+
+    def test_failed_item_backs_off_before_its_retry(self, tmp_path):
+        plan = FaultPlan.of(Fault("raise", index=0, attempt=1))
+        campaign = self._campaign(tmp_path, count=1, retry_delay=0.4, fault_plan=plan)
+        started = time.monotonic()
+        QueueWorker(campaign).drain()
+        elapsed = time.monotonic() - started
+        payload = load_published(campaign, campaign.names[0])
+        assert (payload["status"], payload["attempts"]) == (STATUS_OK, 2)
+        # The retry waited out the same backoff the serial executor uses.
+        assert elapsed >= backoff_delay(campaign.settings, 0, 1) >= 0.4
+
+    def test_watchdog_never_times_out_an_external_worker(self, tmp_path):
+        campaign = self._campaign(tmp_path, count=1)
+        name = campaign.names[0]
+        # A lease held by a process the supervisor did not spawn (this
+        # one) is never timed, however long it has been held.
+        owner = leases.new_owner_id()
+        assert leases.acquire(campaign.lease_path(name), owner, 1.0)
+        watchdog = _Watchdog(campaign, timeout=0.01)
+        watchdog.expire([])
+        time.sleep(0.05)
+        watchdog.expire([])
+        assert load_published(campaign, name) is None
+        assert os.path.exists(campaign.item_path(name))
 
     def test_poison_item_quarantined_with_typed_report(self, tmp_path):
         plan = FaultPlan.of(

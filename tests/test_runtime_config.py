@@ -170,13 +170,27 @@ class TestPrecedence:
     def test_executor(self, monkeypatch):
         monkeypatch.delenv(rc.EXECUTOR_VARIABLE, raising=False)
         assert rc.RuntimeConfig.from_environment().executor == "auto"
-        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "processes")
-        assert rc.RuntimeConfig.from_environment().executor == "processes"
-        # Explicit beats the environment; names pass through unresolved
-        # (entry points are validated at sweep time, not here).
+        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, " Queue ")
+        assert rc.RuntimeConfig.from_environment().executor == "queue"
+        # Explicit beats the environment.
         config = rc.RuntimeConfig.from_environment(executor="serial")
         assert config.executor == "serial"
         assert rc.RuntimeConfig(executor="  ").executor == "auto"
+        assert rc.EXECUTORS == ("auto", "serial", "queue")
+
+    def test_unknown_executor_is_validated_at_construction(self, monkeypatch):
+        # Explicit values are strict, like trace_engine ...
+        for bad in ("processes", "warp-drive"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                rc.RuntimeConfig(executor=bad)
+            with pytest.raises(ValueError, match="unknown executor"):
+                rc.RuntimeConfig.from_environment(executor=bad)
+            with pytest.raises(ValueError, match="unknown executor"):
+                rc.RuntimeConfig().replace(executor=bad)
+        # ... and environment values fall back to the default.
+        for bad in ("processes", "warp-drive"):
+            monkeypatch.setenv(rc.EXECUTOR_VARIABLE, bad)
+            assert rc.RuntimeConfig.from_environment().executor == "auto"
 
     def test_retries(self, monkeypatch):
         monkeypatch.delenv(rc.RETRIES_VARIABLE, raising=False)
@@ -283,7 +297,7 @@ class TestPrecedence:
 
     def test_execution_knobs_stay_out_of_semantic(self):
         config = rc.RuntimeConfig(
-            executor="processes",
+            executor="queue",
             retries=7,
             item_timeout=3.0,
             retry_delay=0.2,
@@ -503,7 +517,7 @@ _SPAWN_SWEEP_SCRIPT = textwrap.dedent(
         multiprocessing.set_start_method("spawn")
         before = repro_environment()
         runs = {}
-        for executor in ("processes", "queue"):
+        for executor in ("auto", "queue"):
             session = Session(
                 trace_engine="reference",
                 cache_namespace="ns",
@@ -570,9 +584,9 @@ class TestWorkerConfigHandoff:
         assert report["trace_files"] == ["FT-2000-0.npz", "LU-2000-0.npz"]
         assert report["traces"]["disk_hits"] == 2
         assert report["traces"]["disk_stores"] == 0
-        for executor in ("processes", "queue"):
+        for executor in ("auto", "queue"):
             assert [row["item"] for row in report["runs"][executor]] == [0, 1, 2, 3]
-        for executor in ("processes", "queue", "prime"):
+        for executor in ("auto", "queue", "prime"):
             for row in report["runs"][executor]:
                 assert row["pid"] != report["parent"], executor
                 assert row["trace_engine"] == "reference", executor
